@@ -1,13 +1,15 @@
 //! Shared helpers for the PiCloud benchmark harness.
 //!
-//! Each bench target regenerates one table or figure of the paper (printed
-//! once, before timing starts) and then benchmarks the computation that
-//! produces it. `cargo bench -p picloud-bench` therefore doubles as the
-//! reproduction driver: its stdout is the paper's evaluation, re-derived.
+//! The `experiments` target times every entry of the experiment registry
+//! (`picloud::experiments::REGISTRY`) at the paper seed; `picloud-cli
+//! <id>` prints the same reports. The other targets time hot paths of the
+//! emulator itself — flow solver, estimator, telemetry, spans, tsdb,
+//! chaos harness and lint scan — and most write a `BENCH_*.json`
+//! artifact at the repository root.
 
 use std::sync::Once;
 
-/// Prints a regenerated artifact exactly once per process, so criterion's
+/// Prints a banner and body exactly once per process, so criterion's
 /// repeated calls do not spam the log.
 pub fn print_once(banner: &str, body: &str, once: &'static Once) {
     once.call_once(|| {

@@ -202,12 +202,6 @@ impl EstimateExperiment {
             hardest_cluster_sizes: hardest,
         }
     }
-
-    /// The bench-harness configuration: the paper seed over 15
-    /// simulated seconds per scenario (40 fabric runs total).
-    pub fn paper_scale() -> EstimateExperiment {
-        EstimateExperiment::run(2013, SimDuration::from_secs(15))
-    }
 }
 
 /// One sweep scenario at a single fidelity — the `picloud-cli estimate

@@ -24,8 +24,9 @@
 //! | model-only: estimation mode vs exact oracle | [`estimate_exp`] |
 //!
 //! Every experiment is deterministic given its seed, returns a typed
-//! result, and `Display`s as an aligned text table so the bench harness
-//! regenerates paper-style output.
+//! result, and `Display`s as an aligned text table. [`REGISTRY`] lists
+//! them all: the CLI, the telemetry collector and the benches read their
+//! names, reports and telemetry from it.
 
 pub mod dvfs_exp;
 pub mod estimate_exp;
@@ -41,7 +42,10 @@ pub mod p2p_mgmt;
 pub mod placement_exp;
 pub mod power;
 pub mod recovery_exp;
+mod registry;
 pub mod sdn_exp;
 pub mod sla_exp;
 pub mod table1;
 pub mod traffic_exp;
+
+pub use registry::{find, Collect, Experiment, REGISTRY};

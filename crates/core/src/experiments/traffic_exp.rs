@@ -211,11 +211,6 @@ impl TrafficExperiment {
             equal_share_mean_fct: equal.mean_fct_secs,
         }
     }
-
-    /// The bench harness configuration: 30 simulated seconds.
-    pub fn paper_scale() -> TrafficExperiment {
-        TrafficExperiment::run(2013, SimDuration::from_secs(30))
-    }
 }
 
 impl fmt::Display for TrafficExperiment {

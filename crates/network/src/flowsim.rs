@@ -42,8 +42,8 @@
 //! the topology (pods on the fat-tree, racks on the multi-root tree;
 //! core/gateway links form the *shared spine*). Each recomputation
 //! splits the dirty set into its connected sharing components, solves
-//! the components concurrently on [`partition::map_ordered`] — a
-//! deterministic, scoped, clock-free worker pool — and merges the
+//! the components concurrently on [`partition::SolverPool`] — a
+//! deterministic, persistent, clock-free worker pool — and merges the
 //! results in ascending flow-id order. Because disjoint components
 //! share no resource, per-component arithmetic is identical to the
 //! joint solve, so the result is **bit-for-bit independent of the

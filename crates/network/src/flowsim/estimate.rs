@@ -20,7 +20,7 @@
 //!    processor sharing, so the representative's crossing flows are
 //!    solved with the `O(n log n)` virtual-time construction instead of
 //!    the event loop, fanned out on the quarantined
-//!    [`partition::map_ordered`] pool.
+//!    [`partition::SolverPool`].
 //! 4. **EDist composition** — each representative's observed per-flow
 //!    slowdowns (FCT ÷ ideal FCT) form an [`EDist`] broadcast to every
 //!    cluster member; a flow's predicted slowdown blends the worst
@@ -360,9 +360,8 @@ impl FlowEstimator {
             .collect();
         let rep_flows_solved: usize = jobs.iter().map(|j| j.flows.len()).sum();
         let allocator = self.allocator;
-        let dists: Vec<EDist> = partition::map_ordered(self.workers, &jobs, |_, job| {
-            run_representative(job, allocator)
-        });
+        let dists: Vec<EDist> = partition::SolverPool::new(self.workers)
+            .run_ordered(jobs, move |_, job| run_representative(&job, allocator));
         // --- 4. Compose predictions: max slowdown over path clusters,
         //        sampled comonotonically (one draw coordinate per flow).
         let mut cluster_of: Vec<Option<u32>> = vec![None; n_res];

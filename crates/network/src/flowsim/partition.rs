@@ -26,12 +26,11 @@
 //! The map is consulted by the flow simulator to shard its completion
 //! heap and to attribute each dirty region to a partition
 //! (`network_partition_solves_total` telemetry); disjoint regions are
-//! solved concurrently on [`map_ordered`], the deterministic ordered
+//! solved concurrently on [`SolverPool`], the deterministic ordered
 //! worker pool. See DESIGN.md §4c for the bit-for-bit argument.
 
 use crate::topology::{DeviceId, DeviceKind, Topology};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 
 /// Sentinel partition index for the shared spine (core/gateway layer).
@@ -203,77 +202,6 @@ impl PartitionMap {
     }
 }
 
-/// Applies `f` to every item on a quarantined pool of `workers` OS
-/// threads and returns the outputs **in item order**, regardless of
-/// scheduling.
-///
-/// This is the only sanctioned concurrency primitive in the simulation
-/// crates (lint rule D4): threads are scoped (no detached lifetimes),
-/// carry no RNG and never read the wall clock, and every output lands in
-/// the slot of its input index — so the merge order, and therefore every
-/// downstream bit, is independent of thread interleaving. Work is
-/// claimed from a shared atomic cursor, which makes the *assignment* of
-/// items to threads nondeterministic while leaving the result vector
-/// deterministic; callers must not let `f` observe the claiming order.
-///
-/// With `workers <= 1` or fewer than two items the pool is bypassed and
-/// `f` runs inline on the caller's thread — the serial reference path.
-///
-/// # Example
-///
-/// ```
-/// use picloud_network::flowsim::partition::map_ordered;
-///
-/// let squares = map_ordered(4, &[1u64, 2, 3, 4, 5], |_, x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16, 25]);
-/// ```
-pub fn map_ordered<I, O, F>(workers: usize, items: &[I], f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(usize, &I) -> O + Sync,
-{
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut out: Vec<Option<O>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    let f = &f;
-    let cursor = &cursor;
-    // lint: allow(D4) reason=this IS the quarantined pool — scoped, clock-free, RNG-free, order-restoring (see module docs)
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(items.len()))
-            .map(|_| {
-                // lint: allow(D4) reason=worker of the quarantined pool; results are re-ordered by item index below
-                scope.spawn(move || {
-                    let mut got: Vec<(usize, O)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        got.push((i, f(i, &items[i])));
-                    }
-                    got
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint: allow(P1) reason=a panicking worker already poisoned the solve; propagating the panic is the only sound recovery
-            for (i, o) in h.join().expect("solver worker panicked") {
-                out[i] = Some(o);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|o| {
-            // lint: allow(P1) reason=every index below items.len() is claimed exactly once by the cursor loop
-            o.expect("worker pool left a slot unfilled")
-        })
-        .collect()
-}
-
 /// A boxed unit of work shipped to the persistent solver pool.
 type PoolTask = Box<dyn FnOnce() + Send + 'static>;
 
@@ -326,21 +254,21 @@ fn pool_worker(shared: &PoolShared) {
     }
 }
 
-/// A persistent, quarantined worker pool for repeated ordered solves.
+/// The persistent, quarantined worker pool for ordered solves — the only
+/// sanctioned concurrency primitive in the simulation crates (lint rule
+/// D4).
 ///
-/// [`map_ordered`] spins up a fresh thread scope on every call, which is
-/// fine for one-shot fan-outs but taxes the flow simulator's hot path:
-/// `recompute_rates` fires on every inject/completion/cancel, and paying
-/// thread start-up each time swamps small regional solves. `SolverPool`
-/// hoists the scope into long-lived workers owned by the simulator:
-/// tasks are queued under a mutex, workers park on a condvar between
-/// solves, and results are returned **in item order** through per-call
-/// channels — the same order-restoring merge contract as
-/// [`map_ordered`], so downstream bits remain independent of scheduling.
+/// The flow simulator owns one for its hot path: `recompute_rates` fires
+/// on every inject/completion/cancel, and paying thread start-up each
+/// time would swamp small regional solves. The estimator builds one per
+/// representative fan-out. Tasks are queued under a mutex, workers park
+/// on a condvar between solves, and results are returned **in item
+/// order** through per-call channels, so the merge order, and therefore
+/// every downstream bit, is independent of thread interleaving.
 ///
-/// The quarantine rules (lint D4) carry over unchanged: workers hold no
-/// RNG, never read the clock, and share no mutable state beyond the task
-/// queue. Dropping the pool shuts the workers down and joins them.
+/// Workers hold no RNG, never read the clock, and share no mutable state
+/// beyond the task queue. Dropping the pool shuts the workers down and
+/// joins them.
 ///
 /// # Example
 ///
@@ -353,7 +281,7 @@ fn pool_worker(shared: &PoolShared) {
 /// ```
 pub struct SolverPool {
     shared: Arc<PoolShared>,
-    // lint: allow(D4) reason=these ARE the quarantined pool workers — persistent equivalent of map_ordered's scope (see SolverPool docs)
+    // lint: allow(D4) reason=these ARE the quarantined pool workers (see SolverPool docs)
     threads: Vec<std::thread::JoinHandle<()>>,
     size: usize,
 }
@@ -401,10 +329,10 @@ impl SolverPool {
     }
 
     /// Applies `f` to every item on the persistent workers and returns
-    /// the outputs **in item order**, exactly like [`map_ordered`] — but
-    /// without paying thread start-up per call. Items are owned
-    /// (`'static`) because the workers outlive any one call; with one
-    /// worker or fewer than two items, `f` runs inline on the caller.
+    /// the outputs **in item order**, regardless of scheduling. Items are
+    /// owned (`'static`) because the workers outlive any one call; with
+    /// one worker or fewer than two items, `f` runs inline on the caller
+    /// — the serial reference path.
     pub fn run_ordered<I, O, F>(&self, items: Vec<I>, f: F) -> Vec<O>
     where
         I: Send + 'static,
@@ -578,26 +506,13 @@ mod tests {
     }
 
     #[test]
-    fn map_ordered_is_order_preserving_at_any_worker_count() {
-        let items: Vec<u64> = (0..97).collect();
-        let serial = map_ordered(1, &items, |i, x| x * 3 + i as u64);
-        for workers in [2usize, 3, 8, 16] {
-            let parallel = map_ordered(workers, &items, |i, x| x * 3 + i as u64);
-            assert_eq!(serial, parallel, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn map_ordered_handles_empty_and_single() {
-        let none: Vec<u32> = map_ordered(8, &[], |_, x: &u32| *x);
-        assert!(none.is_empty());
-        assert_eq!(map_ordered(8, &[7u32], |_, x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn solver_pool_matches_map_ordered_at_any_size() {
+    fn solver_pool_matches_serial_map_at_any_size() {
         let items: Vec<u64> = (0..197).collect();
-        let serial = map_ordered(1, &items, |i, x| x * 3 + i as u64);
+        let serial: Vec<u64> = items
+            .iter()
+            .enumerate()
+            .map(|(i, x)| x * 3 + i as u64)
+            .collect();
         for workers in [1usize, 2, 8] {
             let pool = SolverPool::new(workers);
             let got = pool.run_ordered(items.clone(), |i, x| x * 3 + i as u64);

@@ -1,24 +1,26 @@
 //! `picloud` — command-line driver for the reproduction.
 //!
-//! Regenerates any table/figure/experiment of the paper on demand:
+//! Regenerates any table/figure/experiment of the paper on demand. Every
+//! entry of the experiment registry (`picloud::experiments::REGISTRY`) is
+//! a subcommand, named by id or alias in any case (`table1`, `e1`, `E1`):
 //!
 //! ```sh
-//! cargo run --bin picloud -- list
-//! cargo run --bin picloud -- table1
-//! cargo run --bin picloud -- all
-//! cargo run --bin picloud -- traffic --seed 7
-//! cargo run --bin picloud -- telemetry --experiment e17 --format jsonl
-//! cargo run --bin picloud -- trace --experiment e17 --out e17-trace.jsonl
-//! cargo run --bin picloud -- spans --experiment e17 --format jsonl
-//! cargo run --bin picloud -- critical-path --experiment e17
-//! cargo run --bin picloud -- slo --experiment e17 --strict
-//! cargo run --bin picloud -- query --experiment e17 --metric container_fleet_dark \
+//! cargo run --bin picloud-cli -- list
+//! cargo run --bin picloud-cli -- table1
+//! cargo run --bin picloud-cli -- all
+//! cargo run --bin picloud-cli -- traffic --seed 7
+//! cargo run --bin picloud-cli -- telemetry --experiment e17 --format jsonl
+//! cargo run --bin picloud-cli -- trace --experiment e17 --out e17-trace.jsonl
+//! cargo run --bin picloud-cli -- spans --experiment e17 --format jsonl
+//! cargo run --bin picloud-cli -- critical-path --experiment e17
+//! cargo run --bin picloud-cli -- slo --experiment e17 --strict
+//! cargo run --bin picloud-cli -- query --experiment e17 --metric container_fleet_dark \
 //!     --fn avg_over_time --window 120
-//! cargo run --bin picloud -- alerts --experiment e17 --format jsonl
-//! cargo run --bin picloud -- panel
-//! cargo run --bin picloud -- lint --format jsonl
-//! cargo run --bin picloud -- chaos --seed 100 --schedules 25 --profile e17
-//! cargo run --bin picloud -- estimate --fidelity estimate --out sweep.jsonl
+//! cargo run --bin picloud-cli -- alerts --experiment e17 --format jsonl
+//! cargo run --bin picloud-cli -- panel
+//! cargo run --bin picloud-cli -- lint --format jsonl
+//! cargo run --bin picloud-cli -- chaos --seed 100 --schedules 25 --profile e17
+//! cargo run --bin picloud-cli -- estimate --fidelity estimate --out sweep.jsonl
 //! ```
 //!
 //! `telemetry` exports an experiment's labeled metrics snapshot (JSONL,
@@ -55,94 +57,12 @@
 //! and emits a byte-deterministic JSONL report (the CI determinism gate
 //! runs it twice and `cmp`s). See `EXPERIMENTS.md` §S2.
 
-use picloud::experiments::{
-    dvfs_exp::DvfsExperiment, estimate_exp, estimate_exp::EstimateExperiment,
-    failure_exp::FailureExperiment, fidelity::FidelityExperiment, fig2::Fig2, fig3::Fig3,
-    fig4::Fig4, image_dist::ImageDistributionExperiment, migration_exp::MigrationExperiment,
-    oversub_exp::OversubscriptionExperiment, p2p_mgmt::P2pMgmtExperiment,
-    placement_exp::PlacementExperiment, power::PowerExperiment, recovery_exp::RecoveryExperiment,
-    sdn_exp::SdnExperiment, sla_exp::SlaExperiment, table1::Table1, traffic_exp::TrafficExperiment,
-};
+use picloud::experiments::{self, estimate_exp, estimate_exp::EstimateExperiment, fig4::Fig4};
 use picloud::telemetry::ExperimentTelemetry;
-use picloud::PiCloud;
 use picloud_simcore::telemetry::slo::{AlertSeverity, Verdict};
 use picloud_simcore::telemetry::tsdb::QueryFn;
 use picloud_simcore::SimDuration;
 use std::process::ExitCode;
-
-const EXPERIMENTS: &[(&str, &str)] = &[
-    ("table1", "Table I: cost breakdown of a 56-server testbed"),
-    ("fig1", "Fig. 1: the four Lego racks"),
-    ("fig2", "Fig. 2: fabric comparison (tree / fat-tree / Clos)"),
-    ("fig3", "Fig. 3: software stack & container density"),
-    ("fig4", "Fig. 4: management control panel workflow"),
-    (
-        "power",
-        "C2/E9: whole-cloud power & the single-socket claim",
-    ),
-    ("placement", "E5: placement policies & consolidation ledger"),
-    ("migration", "E6: cold vs pre-copy migration sweep"),
-    ("traffic", "E7: DC traffic locality/congestion sweep"),
-    ("sdn", "E8: SDN disciplines & IP-less routing"),
-    ("fidelity", "E10: scale-model fidelity (Pi vs x86)"),
-    ("failures", "E11: failure injection"),
-    ("p2p", "E12: centralised vs gossip management"),
-    ("imagedist", "E13: image distribution strategies"),
-    ("oversub", "E14: CPU oversubscription"),
-    ("sla", "E16: placement density vs web latency (SLA)"),
-    ("dvfs", "E15: cpufreq governors"),
-    (
-        "recovery",
-        "E17: failure recovery / self-healing under churn",
-    ),
-    (
-        "estimate",
-        "S2: estimation mode (link clustering) vs the exact oracle",
-    ),
-];
-
-fn run_one(name: &str, seed: u64) -> bool {
-    match name {
-        "table1" => println!("{}", Table1::paper()),
-        "fig1" => {
-            let cloud = PiCloud::glasgow();
-            println!("{cloud}\n{}", cloud.render_racks());
-        }
-        "fig2" => println!("{}", Fig2::run()),
-        "fig3" => println!("{}", Fig3::run()),
-        "fig4" => println!("{}", Fig4::run()),
-        "power" => println!(
-            "{}\n{}",
-            PowerExperiment::paper_picloud(),
-            PowerExperiment::paper_testbed()
-        ),
-        "placement" => println!("{}", PlacementExperiment::run(seed, 150, 20)),
-        "migration" => println!(
-            "{}\n{}",
-            MigrationExperiment::paper_scale(),
-            MigrationExperiment::gigabit_recable()
-        ),
-        "traffic" => println!(
-            "{}",
-            TrafficExperiment::run(seed, SimDuration::from_secs(30))
-        ),
-        "sdn" => println!("{}", SdnExperiment::paper_scale()),
-        "fidelity" => println!("{}", FidelityExperiment::run(seed, 56)),
-        "failures" => println!("{}", FailureExperiment::run(seed)),
-        "p2p" => println!("{}", P2pMgmtExperiment::run(seed, 56)),
-        "imagedist" => println!("{}", ImageDistributionExperiment::paper_scale()),
-        "oversub" => println!("{}", OversubscriptionExperiment::paper_scale()),
-        "sla" => println!("{}", SlaExperiment::run(seed, 168, 0.05)),
-        "dvfs" => println!("{}", DvfsExperiment::paper_scale()),
-        "recovery" => println!("{}", RecoveryExperiment::run(seed)),
-        "estimate" => println!(
-            "{}",
-            EstimateExperiment::run(seed, SimDuration::from_secs(10))
-        ),
-        _ => return false,
-    }
-    true
-}
 
 /// Runs the `estimate` target. Without `--fidelity` it prints the S2
 /// comparison table (both fidelities, relative errors, compression).
@@ -619,19 +539,19 @@ fn main() -> ExitCode {
                     "       picloud estimate [--seed N] [--fidelity exact|estimate] \
                      [--format jsonl] [--out FILE]"
                 );
-                println!("       picloud lint [--format text|jsonl] [--out FILE]");
+                println!("       picloud lint [--format text|jsonl|github] [--out FILE]");
                 println!(
                     "       picloud chaos [--seed N] [--schedules N] \
                      [--profile e17|oversub] [--out DIR]\n"
                 );
-                for (name, desc) in EXPERIMENTS {
-                    println!("  {name:<10} {desc}");
+                for e in experiments::REGISTRY {
+                    println!("  {:<10} {:<4} {}", e.id, e.alias.unwrap_or(""), e.title);
                 }
             }
             "all" => {
-                for (name, _) in EXPERIMENTS {
-                    println!("########## {name} ##########");
-                    run_one(name, seed);
+                for e in experiments::REGISTRY {
+                    println!("########## {} ##########", e.id);
+                    println!("{}", (e.report)(seed));
                     println!();
                 }
             }
@@ -672,12 +592,13 @@ fn main() -> ExitCode {
                 // for the terminal.
                 print!("{}", Fig4::run().panel.render_ascii());
             }
-            name => {
-                if !run_one(name, seed) {
+            name => match experiments::find(name) {
+                Some(e) => println!("{}", (e.report)(seed)),
+                None => {
                     eprintln!("unknown experiment '{name}'; try 'picloud list'");
                     return ExitCode::FAILURE;
                 }
-            }
+            },
         }
     }
     ExitCode::SUCCESS

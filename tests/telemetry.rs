@@ -7,7 +7,8 @@
 //! formatting drift in the exporters would break these.
 
 use picloud::experiments::recovery_exp::RecoveryExperiment;
-use picloud::telemetry::{canonical_id, ExperimentTelemetry, EXPERIMENT_IDS};
+use picloud::experiments::{self, REGISTRY};
+use picloud::telemetry::ExperimentTelemetry;
 use picloud_simcore::telemetry::TelemetrySink;
 use picloud_simcore::{SimDuration, SimTime};
 
@@ -83,13 +84,28 @@ fn plain_run_matches_disabled_telemetry_run() {
 }
 
 #[test]
-fn collector_covers_every_experiment_id() {
-    for (id, alias) in EXPERIMENT_IDS {
-        assert_eq!(canonical_id(id), Some(*id));
-        if !alias.is_empty() {
-            assert_eq!(canonical_id(alias), Some(*id), "{alias} → {id}");
+fn registry_names_resolve_uniquely_and_case_insensitively() {
+    let id_of = |name: &str| experiments::find(name).map(|e| e.id);
+    for (i, e) in REGISTRY.iter().enumerate() {
+        for other in &REGISTRY[i + 1..] {
+            assert_ne!(e.id, other.id, "duplicate id");
+            if e.alias.is_some() {
+                assert_ne!(e.alias, other.alias, "duplicate alias");
+            }
+        }
+        for other in REGISTRY {
+            assert_ne!(other.alias, Some(e.id), "{} aliases id {}", other.id, e.id);
+        }
+        assert_eq!(id_of(e.id), Some(e.id));
+        assert_eq!(id_of(&e.id.to_ascii_uppercase()), Some(e.id));
+        if let Some(alias) = e.alias {
+            assert_eq!(id_of(alias), Some(e.id), "{alias} → {}", e.id);
+            assert_eq!(id_of(&alias.to_ascii_uppercase()), Some(e.id));
         }
     }
+    assert_eq!(id_of(""), None);
+    assert_eq!(id_of("nonsense"), None);
+    assert!(ExperimentTelemetry::collect("nonsense", 1).is_none());
 }
 
 #[test]
