@@ -3,9 +3,9 @@
 //! The `experiments` target times every entry of the experiment registry
 //! (`picloud::experiments::REGISTRY`) at the paper seed; `picloud-cli
 //! <id>` prints the same reports. The other targets time hot paths of the
-//! emulator itself — flow solver, estimator, telemetry, spans, tsdb,
-//! chaos harness and lint scan — and most write a `BENCH_*.json`
-//! artifact at the repository root.
+//! emulator itself — flow solver, estimator, telemetry, spans, tsdb and
+//! chaos harness — and most write a `BENCH_*.json` artifact at the
+//! repository root.
 
 use std::sync::Once;
 

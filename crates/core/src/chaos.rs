@@ -159,8 +159,11 @@ pub fn shrink_schedule(
         )
         .1
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic — shrinking a passing schedule is a harness bug (see # Panics)"
+    )]
     let target = run(schedule.timeline.events())
-        // lint: allow(P1) reason=documented panic — shrinking a passing schedule is a harness bug (see # Panics)
         .expect("shrink_schedule called on a schedule that does not violate");
     let minimal = shrink(schedule.timeline.events(), |candidate| {
         run(candidate).is_some_and(|v| v.invariant == target.invariant)
@@ -171,8 +174,11 @@ pub fn shrink_schedule(
         heals_all: schedule.heals_all,
         timeline: FaultTimeline::scripted(minimal),
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "ddmin only keeps candidates that still violate, so the minimal schedule reproduces by construction"
+    )]
     let violation = run(shrunk.timeline.events())
-        // lint: allow(P1) reason=ddmin only keeps candidates that still violate, so the minimal schedule reproduces by construction
         .expect("the shrunk schedule reproduces the violation by construction");
     (shrunk, violation)
 }

@@ -143,11 +143,17 @@ impl PiCloudBuilder {
                 )
             });
             for &device in hosts {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the builder derives rack shapes from the same host list it registers; a /27 rack subnet fits the 14-host racks by construction"
+                )]
                 let node = pimaster
                     .register_node(self.spec.clone(), rack_idx, SimTime::ZERO)
-                    // lint: allow(P1) reason=the builder derives rack shapes from the same host list it registers; a /27 rack subnet fits the 14-host racks by construction
                     .expect("builder shapes fit their rack subnets");
-                // lint: allow(P1) reason=rack capacity is sized from hosts.len() three lines above
+                #[expect(
+                    clippy::expect_used,
+                    reason = "rack capacity is sized from hosts.len() three lines above"
+                )]
                 rack.install(node).expect("rack sized to fit its hosts");
                 debug_assert_eq!(node.index(), node_to_device.len());
                 node_to_device.push(device);

@@ -114,10 +114,11 @@ impl EstimateExperiment {
             RateAllocator::MaxMin,
         )
         .with_workers(default_workers());
-        workload
-            .replay_on(&mut sim)
-            // lint: allow(P1) reason=the generator draws endpoints from this connected builder topology; no route can be missing
-            .expect("fabric is connected");
+        #[expect(
+            clippy::expect_used,
+            reason = "the generator draws endpoints from this connected builder topology; no route can be missing"
+        )]
+        workload.replay_on(&mut sim).expect("fabric is connected");
         sim.run_to_completion();
         let exact = EDist::from_samples(
             sim.completed()
@@ -176,7 +177,7 @@ impl EstimateExperiment {
         let hardest = {
             let rates = LinkRates {
                 access: Bandwidth::mbps(100),
-                // lint: allow(P1) reason=FABRIC_TIERS_MBPS is a non-empty const array; index 0 always exists
+                // FABRIC_TIERS_MBPS is a non-empty const array; index 0 always exists
                 fabric: Bandwidth::mbps(FABRIC_TIERS_MBPS[0]),
             };
             let topo = Topology::multi_root_tree_with(4, 14, 2, rates);
@@ -247,10 +248,11 @@ pub fn sweep(mode: FidelityMode, seed: u64, duration: SimDuration) -> Vec<SweepL
                     let mut sim =
                         FlowSimulator::new(topo, RoutingPolicy::default(), RateAllocator::MaxMin)
                             .with_workers(default_workers());
-                    workload
-                        .replay_on(&mut sim)
-                        // lint: allow(P1) reason=the generator draws endpoints from this connected builder topology; no route can be missing
-                        .expect("fabric is connected");
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the generator draws endpoints from this connected builder topology; no route can be missing"
+                    )]
+                    workload.replay_on(&mut sim).expect("fabric is connected");
                     sim.run_to_completion();
                     let d = EDist::from_samples(
                         sim.completed()

@@ -92,9 +92,11 @@ fn tree_dissemination(
             .map(|&(src, dst)| FlowSpec::new(src, dst, image).with_tag("image"))
             .collect();
         // The round's transfers all start together: one recompute.
-        sim.inject_batch(specs, now)
-            // lint: allow(P1) reason=dissemination endpoints are hosts of the connected builder topology
-            .expect("fabric is connected");
+        #[expect(
+            clippy::expect_used,
+            reason = "dissemination endpoints are hosts of the connected builder topology"
+        )]
+        sim.inject_batch(specs, now).expect("fabric is connected");
         now = sim.run_to_completion();
         for (_, dst) in transfers {
             pending.retain(|d| *d != dst);
@@ -127,9 +129,11 @@ impl ImageDistributionExperiment {
             .iter()
             .map(|&host| FlowSpec::new(pimaster, host, image_size).with_tag("image"))
             .collect();
-        sim.inject_batch(unicasts, SimTime::ZERO)
-            // lint: allow(P1) reason=dissemination endpoints are hosts of the connected builder topology
-            .expect("routable");
+        #[expect(
+            clippy::expect_used,
+            reason = "dissemination endpoints are hosts of the connected builder topology"
+        )]
+        sim.inject_batch(unicasts, SimTime::ZERO).expect("routable");
         let end = sim.run_to_completion();
         let img = image_size.as_u64().max(1) as f64;
         let direct = DistributionOutcome {
@@ -161,8 +165,11 @@ impl ImageDistributionExperiment {
             .iter()
             .map(|&seed| FlowSpec::new(pimaster, seed, image_size).with_tag("image-seed"))
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "dissemination endpoints are hosts of the connected builder topology"
+        )]
         sim.inject_batch(seed_specs, SimTime::ZERO)
-            // lint: allow(P1) reason=dissemination endpoints are hosts of the connected builder topology
             .expect("routable");
         sim.run_to_completion();
         // Phase 2: per-rack binary trees, all racks in parallel. Emulate
@@ -192,9 +199,11 @@ impl ImageDistributionExperiment {
                 .iter()
                 .map(|&(src, dst)| FlowSpec::new(src, dst, image_size).with_tag("image"))
                 .collect();
-            sim.inject_batch(round_specs, now)
-                // lint: allow(P1) reason=dissemination endpoints are hosts of the connected builder topology
-                .expect("routable");
+            #[expect(
+                clippy::expect_used,
+                reason = "dissemination endpoints are hosts of the connected builder topology"
+            )]
+            sim.inject_batch(round_specs, now).expect("routable");
             now = sim.run_to_completion();
             // Mark completions per rack.
             for (holders, pending) in holders_by_rack.iter_mut().zip(pending_by_rack.iter_mut()) {

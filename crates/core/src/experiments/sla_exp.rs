@@ -71,10 +71,18 @@ impl SlaExperiment {
             .map(|kind| {
                 let mut view = ClusterView::picloud_default().with_cpu_overcommit(4.0);
                 let mut policy = kind.build(seed);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "P1 debt carried over from lint-baseline.json"
+                )]
                 let tickets = place_all(&mut view, &mut *policy, &requests).expect("batch fits");
                 // Group containers by node.
                 let mut by_node: BTreeMap<_, Vec<usize>> = BTreeMap::new();
                 for (i, t) in tickets.iter().enumerate() {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "P1 debt carried over from lint-baseline.json"
+                    )]
                     let (_, node, _) = view
                         .placements()
                         .find(|(tt, _, _)| tt == t)

@@ -67,10 +67,11 @@ impl TrafficExperiment {
         // worker count, so the pool size can come from the environment.
         let mut sim = FlowSimulator::new(topo, RoutingPolicy::default(), allocator)
             .with_workers(picloud_network::flowsim::partition::default_workers());
-        workload
-            .replay_on(&mut sim)
-            // lint: allow(P1) reason=the generator draws endpoints from this connected builder topology; no route can be missing
-            .expect("fabric is connected");
+        #[expect(
+            clippy::expect_used,
+            reason = "the generator draws endpoints from this connected builder topology; no route can be missing"
+        )]
+        workload.replay_on(&mut sim).expect("fabric is connected");
         sim.run_to_completion();
         TrafficExperiment::summarise(&sim, pattern.intra_rack_fraction)
     }
@@ -124,9 +125,11 @@ impl TrafficExperiment {
             }
             let n = burst.iter().take_while(|(t, _)| t == at).count();
             let specs: Vec<_> = burst.iter().take(n).map(|(_, s)| s.clone()).collect();
-            sim.inject_batch(specs, *at)
-                // lint: allow(P1) reason=the generator draws endpoints from this connected builder topology; no route can be missing
-                .expect("fabric is connected");
+            #[expect(
+                clippy::expect_used,
+                reason = "the generator draws endpoints from this connected builder topology; no route can be missing"
+            )]
+            sim.inject_batch(specs, *at).expect("fabric is connected");
             burst = &burst[n..];
         }
         // Drain phase: keep pausing at grid instants until the last

@@ -116,7 +116,10 @@ impl MigrationOrchestrator {
     /// [`ApiError::InsufficientStorage`] if the target cannot host the
     /// container; [`ApiError::Conflict`] if the container is not
     /// running, or if the fabric is disconnected between the two nodes.
-    #[allow(clippy::too_many_arguments)] // the seven collaborators are the point
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the seven collaborators are the point"
+    )]
     pub fn migrate(
         &self,
         cloud: &mut PiCloud,
@@ -177,11 +180,14 @@ impl MigrationOrchestrator {
             .map_err(|e| ApiError::Conflict(format!("no migration path {from} -> {to}: {e}")))?;
         let end = sim.run_to_completion();
         // The migration's own completion, not the last concurrent flow's.
+        #[expect(
+            clippy::expect_used,
+            reason = "the flow injected above must appear in completed() once run_to_completion returns"
+        )]
         let migration_done = sim
             .completed()
             .iter()
             .find(|c| c.id == flow_id)
-            // lint: allow(P1) reason=the flow injected above must appear in completed() once run_to_completion returns
             .expect("migration flow completed")
             .finished;
         let network_time = migration_done.saturating_duration_since(start);

@@ -978,7 +978,10 @@ impl RecoveryWorld {
     /// The image pull finished: probe the target one last time (it may
     /// have died mid-pull) and either land the container — closing its
     /// blackout window — or release the slot and start over.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the pending respawn's fields, carried through the scheduled pull event"
+    )]
     fn finish_respawn(
         &mut self,
         name: String,
@@ -1438,6 +1441,10 @@ fn run_recovery_inner(
         detector.register(node, SimTime::ZERO);
         for c in 0..config.containers_per_node {
             let name = format!("web-{}-{c}", node.0);
+            #[expect(
+                clippy::expect_used,
+                reason = "fleet sizing is a config invariant — 192 MiB guest RAM admits 6 containers/node and every built-in config stays within it"
+            )]
             let resp = cloud
                 .api(
                     ApiRequest::SpawnContainer {
@@ -1447,7 +1454,6 @@ fn run_recovery_inner(
                     },
                     SimTime::ZERO,
                 )
-                // lint: allow(P1) reason=fleet sizing is a config invariant — 192 MiB guest RAM admits 6 containers/node and every built-in config stays within it
                 .expect("initial fleet fits the cluster");
             let ApiResponse::Spawned { container, .. } = resp else {
                 unreachable!("spawn returns Spawned");

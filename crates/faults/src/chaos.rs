@@ -221,8 +221,11 @@ impl ChaosSchedule {
     /// # Panics
     ///
     /// Panics if serde fails, which for this plain-data type means a bug.
+    #[expect(
+        clippy::expect_used,
+        reason = "serialising plain data cannot fail; a panic here is a serde shim bug"
+    )]
     pub fn to_json(&self) -> String {
-        // lint: allow(P1) reason=serialising plain data cannot fail; a panic here is a serde shim bug
         serde_json::to_string_pretty(self).expect("chaos schedule serialises")
     }
 

@@ -142,7 +142,7 @@ impl DhcpServer {
             .leases
             .values()
             .filter(|(r, _)| *r == rack)
-            // lint: allow(P1) reason=Ipv4-style address is a fixed [u8; 4] array; index 3 always exists
+            // Ipv4-style address is a fixed [u8; 4] array; index 3 always exists
             .map(|(_, l)| l.addr.0[3])
             .collect();
         let start = self.next_host.get(&rack).copied().unwrap_or(2);

@@ -75,8 +75,11 @@ impl PanelView {
     /// # Panics
     ///
     /// Never in practice; the view contains no non-serialisable values.
+    #[expect(
+        clippy::expect_used,
+        reason = "derived Serialize over plain data cannot fail; documented in # Panics"
+    )]
     pub fn to_json(&self) -> String {
-        // lint: allow(P1) reason=derived Serialize over plain data cannot fail; documented in # Panics
         serde_json::to_string_pretty(self).expect("panel view serialises")
     }
 

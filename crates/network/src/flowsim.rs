@@ -844,9 +844,12 @@ impl FlowSimulator {
     /// Panics if active flows exist but none can make progress.
     pub fn run_to_completion(&mut self) -> SimTime {
         while !self.active.is_empty() {
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic — rate-starved flows indicate a topology configuration error (see # Panics)"
+            )]
             let next = self
                 .next_completion_time()
-                // lint: allow(P1) reason=documented panic — rate-starved flows indicate a topology configuration error (see # Panics)
                 .expect("active flows exist but none has positive rate");
             let finished = self.advance_clock(next);
             let seeds = self.harvest_completions(finished);
@@ -1134,7 +1137,10 @@ impl FlowSimulator {
     /// all live in that one shard (a flow of any other bucket on a region
     /// resource would have dragged the closure across the spine), so the
     /// lookups never touch maps owned by other partitions.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "three index-aligned columns of one flow table, returned together"
+    )]
     fn region_flow_table(
         &self,
         res_list: &[usize],
@@ -1179,7 +1185,10 @@ impl FlowSimulator {
             // A plain fn, not a closure: the pushed path slice must
             // carry `self`'s lifetime, which closure inference would
             // shorten.
-            #[allow(clippy::too_many_arguments)]
+            #[allow(
+                clippy::too_many_arguments,
+                reason = "a plain fn cannot capture the output columns; see above"
+            )]
             fn take<'a>(
                 flows: &mut Vec<FlowId>,
                 weight: &mut Vec<f64>,
@@ -1217,7 +1226,10 @@ impl FlowSimulator {
             // Local region: every flow lives in this partition's shard.
             let shard = &self.active.shards[bucket as usize];
             for id in &flows {
-                // lint: allow(P1) reason=flows_on rows only hold active ids, and bucket purity pins a local region's flows to this shard
+                #[expect(
+                    clippy::expect_used,
+                    reason = "flows_on rows only hold active ids, and bucket purity pins a local region's flows to this shard"
+                )]
                 let af = shard.get(id).expect("inverted-index ids are active");
                 weight.push(af.flow.spec.weight);
                 paths.push(af.resources.as_slice());
@@ -1226,12 +1238,15 @@ impl FlowSimulator {
             // Spine-crossing region: probe the shards per id (at most
             // one answers — shard key-sets are disjoint).
             for id in &flows {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "flows_on rows only hold active ids; every active flow lives in exactly one shard"
+                )]
                 let af = self
                     .active
                     .shards
                     .iter()
                     .find_map(|s| s.get(id))
-                    // lint: allow(P1) reason=flows_on rows only hold active ids; every active flow lives in exactly one shard
                     .expect("inverted-index ids are active");
                 weight.push(af.flow.spec.weight);
                 paths.push(af.resources.as_slice());

@@ -221,8 +221,11 @@ struct PoolShared {
 /// Locks the pool queue. Tasks run *outside* the lock, so the mutex can
 /// only be poisoned by a panic inside the queue plumbing itself — which
 /// already poisoned the solve.
+#[expect(
+    clippy::expect_used,
+    reason = "tasks execute outside the lock; poison implies a panicked solve and propagating is the only sound recovery"
+)]
 fn lock_pool(m: &Mutex<PoolState>) -> MutexGuard<'_, PoolState> {
-    // lint: allow(P1) reason=tasks execute outside the lock; poison implies a panicked solve and propagating is the only sound recovery
     m.lock().expect("solver pool mutex poisoned")
 }
 
@@ -233,6 +236,10 @@ fn lock_pool(m: &Mutex<PoolState>) -> MutexGuard<'_, PoolState> {
 /// scheduling order cannot leak into simulation bits.
 fn pool_worker(shared: &PoolShared) {
     loop {
+        #[expect(
+            clippy::expect_used,
+            reason = "same poison argument as lock_pool — a poisoned queue means a solve already panicked"
+        )]
         let task = {
             let mut state = lock_pool(&shared.state);
             loop {
@@ -243,7 +250,6 @@ fn pool_worker(shared: &PoolShared) {
                     break None;
                 }
                 let waited = shared.ready.wait(state);
-                // lint: allow(P1) reason=same poison argument as lock_pool — a poisoned queue means a solve already panicked
                 state = waited.expect("solver pool mutex poisoned");
             }
         };
@@ -281,7 +287,6 @@ fn pool_worker(shared: &PoolShared) {
 /// ```
 pub struct SolverPool {
     shared: Arc<PoolShared>,
-    // lint: allow(D4) reason=these ARE the quarantined pool workers (see SolverPool docs)
     threads: Vec<std::thread::JoinHandle<()>>,
     size: usize,
 }
@@ -312,7 +317,10 @@ impl SolverPool {
         if size > 1 {
             for _ in 0..size {
                 let shared = Arc::clone(&shared);
-                // lint: allow(D4) reason=persistent worker of the quarantined pool; order restored by index slots in run_ordered
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "persistent worker of the quarantined pool; order restored by index slots in run_ordered"
+                )]
                 threads.push(std::thread::spawn(move || pool_worker(&shared)));
             }
         }
@@ -333,6 +341,10 @@ impl SolverPool {
     /// owned (`'static`) because the workers outlive any one call; with
     /// one worker or fewer than two items, `f` runs inline on the caller
     /// — the serial reference path.
+    #[expect(
+        clippy::expect_used,
+        reason = "each of the n queued tasks sends exactly one indexed result"
+    )]
     pub fn run_ordered<I, O, F>(&self, items: Vec<I>, f: F) -> Vec<O>
     where
         I: Send + 'static,
@@ -364,15 +376,15 @@ impl SolverPool {
         let mut out: Vec<Option<O>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
         for _ in 0..n {
-            // lint: allow(P1) reason=recv fails only when a worker panicked mid-solve; propagating the panic is the only sound recovery
+            #[expect(
+                clippy::expect_used,
+                reason = "recv fails only when a worker panicked mid-solve; propagating the panic is the only sound recovery"
+            )]
             let (i, o) = rx.recv().expect("solver pool worker panicked");
             out[i] = Some(o);
         }
         out.into_iter()
-            .map(|o| {
-                // lint: allow(P1) reason=each of the n queued tasks sends exactly one indexed result
-                o.expect("solver pool left a slot unfilled")
-            })
+            .map(|o| o.expect("solver pool left a slot unfilled"))
             .collect()
     }
 }

@@ -17,7 +17,7 @@ pub fn is_connected(topo: &Topology) -> bool {
     }
     let mut seen = vec![false; n];
     let mut queue = VecDeque::from([DeviceId(0)]);
-    // lint: allow(P1) reason=seen is sized to the device count and src is validated by the caller
+    // seen is sized to the device count and src is validated by the caller
     seen[0] = true;
     let mut count = 1;
     while let Some(d) = queue.pop_front() {
@@ -73,7 +73,10 @@ pub fn shortest_path(topo: &Topology, src: DeviceId, dst: DeviceId) -> Option<Ve
                 }
             }
         }
-        // lint: allow(P1) reason=BFS invariant: every settled node recorded a predecessor when first reached
+        #[expect(
+            clippy::expect_used,
+            reason = "BFS invariant: every settled node recorded a predecessor when first reached"
+        )]
         let (link, prev) = best.expect("BFS predecessor must exist");
         path.push(link);
         cur = prev;
@@ -109,7 +112,7 @@ pub fn all_shortest_paths(
     // DFS forward along strictly-increasing BFS levels.
     let mut results = Vec::new();
     let mut stack: Vec<LinkId> = Vec::new();
-    #[allow(clippy::too_many_arguments)] // recursion state, not an API
+    #[allow(clippy::too_many_arguments, reason = "recursion state, not an API")]
     fn dfs(
         topo: &Topology,
         dist: &[u32],
@@ -204,7 +207,10 @@ pub fn shortest_path_avoiding(
     let mut path = Vec::new();
     let mut cur = dst;
     while cur != src {
-        // lint: allow(P1) reason=BFS invariant: nodes on a reconstructed path were reached, so have predecessors
+        #[expect(
+            clippy::expect_used,
+            reason = "BFS invariant: nodes on a reconstructed path were reached, so have predecessors"
+        )]
         let (prev, link) = pred[cur.index()].expect("reached nodes have predecessors");
         path.push(link);
         cur = prev;

@@ -122,7 +122,7 @@ impl Router {
 mod tests {
     use super::*;
     use crate::topology::Topology;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn single_shortest_is_stable_across_flows() {
@@ -141,7 +141,7 @@ mod tests {
         let topo = Topology::multi_root_tree(2, 1, 4);
         let hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
         let mut router = Router::new(RoutingPolicy::Ecmp { max_paths: 8 });
-        let used: HashSet<Vec<LinkId>> = (0..64)
+        let used: BTreeSet<Vec<LinkId>> = (0..64)
             .map(|i| router.route(&topo, hosts[0], hosts[1], FlowId(i)).unwrap())
             .collect();
         assert!(

@@ -130,13 +130,16 @@ impl Link {
     /// # Panics
     ///
     /// Panics if `from` is not an endpoint of this link.
+    #[expect(
+        clippy::panic,
+        reason = "documented panic: caller must pass an endpoint of this link (# Panics)"
+    )]
     pub fn other_end(&self, from: DeviceId) -> DeviceId {
         if from == self.a {
             self.b
         } else if from == self.b {
             self.a
         } else {
-            // lint: allow(P1) reason=documented panic: caller must pass an endpoint of this link (# Panics)
             panic!("{from} is not an endpoint of {}", self.id)
         }
     }
@@ -188,7 +191,10 @@ impl Topology {
 
     /// Adds a device and returns its id.
     pub fn add_device(&mut self, kind: DeviceKind, name: impl Into<String>) -> DeviceId {
-        // lint: allow(P1) reason=u32 overflow needs 4 billion devices; far beyond any scale model
+        #[expect(
+            clippy::expect_used,
+            reason = "u32 overflow needs 4 billion devices; far beyond any scale model"
+        )]
         let id = DeviceId(u32::try_from(self.devices.len()).expect("too many devices"));
         self.devices.push(Device {
             id,
@@ -216,7 +222,10 @@ impl Topology {
             a.index() < self.devices.len() && b.index() < self.devices.len(),
             "link endpoint does not exist"
         );
-        // lint: allow(P1) reason=u32 overflow needs 4 billion links; far beyond any scale model
+        #[expect(
+            clippy::expect_used,
+            reason = "u32 overflow needs 4 billion links; far beyond any scale model"
+        )]
         let id = LinkId(u32::try_from(self.links.len()).expect("too many links"));
         self.links.push(Link {
             id,
@@ -398,7 +407,7 @@ impl Topology {
             .map(|i| t.add_device(DeviceKind::Core, format!("core-{i}")))
             .collect();
         let gateway = t.add_device(DeviceKind::Gateway, "gateway");
-        // lint: allow(P1) reason=tree builders always create at least one core switch
+        // tree builders always create at least one core switch
         t.add_link(cores[0], gateway, rates.fabric, lat_fabric);
 
         for pod in 0..k {
@@ -448,7 +457,7 @@ impl Topology {
             .map(|i| t.add_device(DeviceKind::Core, format!("spine-{i}")))
             .collect();
         let gateway = t.add_device(DeviceKind::Gateway, "gateway");
-        // lint: allow(P1) reason=Clos builders always create at least one spine switch
+        // Clos builders always create at least one spine switch
         t.add_link(spine_ids[0], gateway, rates.fabric, lat_fabric);
 
         for l in 0..leaves {

@@ -154,6 +154,10 @@ impl Consolidator {
             let mut scratch = view.clone();
             let mut ok = true;
             for ticket in &tickets {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "P1 debt carried over from lint-baseline.json"
+                )]
                 let req = scratch
                     .placements()
                     .find(|(t, _, _)| t == ticket)
@@ -199,6 +203,10 @@ impl Consolidator {
             }
             // Commit the staged moves for real.
             for (ticket, target) in staged {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "P1 debt carried over from lint-baseline.json"
+                )]
                 let (_, _, req) = view
                     .placements()
                     .find(|(t, _, _)| *t == ticket)

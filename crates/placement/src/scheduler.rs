@@ -258,7 +258,7 @@ mod tests {
     fn worst_fit_spreads() {
         let mut view = ClusterView::picloud_default();
         let mut policy = WorstFit;
-        let mut used = std::collections::HashSet::new();
+        let mut used = std::collections::BTreeSet::new();
         for _ in 0..8 {
             let node = policy.place(&view, &req()).unwrap();
             view.commit(node, req());

@@ -203,9 +203,12 @@ impl SdnController {
     ///
     /// Panics if no surviving path exists — partitioned fabrics must be
     /// checked with [`SdnController::try_route`].
+    #[expect(
+        clippy::expect_used,
+        reason = "the controller builds its fabric connected; a partitioned fabric is a construction bug"
+    )]
     pub fn route(&mut self, src: DeviceId, dst: DeviceId) -> RouteOutcome {
         self.try_route(src, dst)
-            // lint: allow(P1) reason=the controller builds its fabric connected; a partitioned fabric is a construction bug
             .expect("SDN fabric must be connected")
     }
 

@@ -89,7 +89,7 @@ impl EDist {
             return 0.0;
         }
         if n == 1 || q <= 0.0 {
-            // lint: allow(P1) reason=n == samples.len() is checked non-zero above
+            // n == samples.len() is checked non-zero above
             return self.samples[0];
         }
         if q >= 1.0 {

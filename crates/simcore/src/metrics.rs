@@ -43,8 +43,11 @@ impl Counter {
     }
 
     /// Adds `n` to the counter.
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     pub fn add(&mut self, n: u64) {
-        // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
         self.value = self.value.checked_add(n).expect("counter overflowed u64");
     }
 

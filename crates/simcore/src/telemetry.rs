@@ -123,7 +123,7 @@ impl Labels {
             .collect();
         v.sort();
         for w in v.windows(2) {
-            // lint: allow(P1) reason=windows(2) slices always hold exactly two elements
+            // windows(2) slices always hold exactly two elements
             assert!(w[0].0 != w[1].0, "duplicate label key {:?}", w[0].0);
         }
         Labels(v)
@@ -288,7 +288,10 @@ impl MetricsRegistry {
     pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut Counter {
         match self.try_counter(name, labels) {
             Ok(c) => c,
-            // lint: allow(P1) reason=the documented cardinality-guard diagnostic; callers opting into a ceiling who want an error use try_counter
+            #[expect(
+                clippy::panic,
+                reason = "the documented cardinality-guard diagnostic; callers opting into a ceiling who want an error use try_counter"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -316,7 +319,10 @@ impl MetricsRegistry {
     pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut TimeWeightedGauge {
         match self.try_gauge(name, labels) {
             Ok(g) => g,
-            // lint: allow(P1) reason=the documented cardinality-guard diagnostic; callers opting into a ceiling who want an error use try_gauge
+            #[expect(
+                clippy::panic,
+                reason = "the documented cardinality-guard diagnostic; callers opting into a ceiling who want an error use try_gauge"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -347,7 +353,10 @@ impl MetricsRegistry {
     pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut Histogram {
         match self.try_histogram(name, labels) {
             Ok(h) => h,
-            // lint: allow(P1) reason=the documented cardinality-guard diagnostic; callers opting into a ceiling who want an error use try_histogram
+            #[expect(
+                clippy::panic,
+                reason = "the documented cardinality-guard diagnostic; callers opting into a ceiling who want an error use try_histogram"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

@@ -84,11 +84,14 @@ impl fmt::Display for SimTime {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
                 .checked_add(rhs.0)
-                // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
                 .expect("simulation time overflowed u64 nanoseconds"),
         )
     }
@@ -102,11 +105,14 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
                 .checked_sub(rhs.0)
-                // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
                 .expect("simulation time underflowed below zero"),
         )
     }
@@ -220,11 +226,14 @@ impl fmt::Display for SimDuration {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
                 .checked_add(rhs.0)
-                // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
                 .expect("duration overflowed u64 nanoseconds"),
         )
     }
@@ -238,11 +247,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
                 .expect("duration underflowed below zero"),
         )
     }
@@ -256,11 +268,14 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(
             self.0
                 .checked_mul(rhs)
-                // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
                 .expect("duration overflowed u64 nanoseconds"),
         )
     }

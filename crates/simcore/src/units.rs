@@ -105,8 +105,11 @@ impl fmt::Display for Bytes {
 
 impl Add for Bytes {
     type Output = Bytes;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn add(self, rhs: Bytes) -> Bytes {
-        // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
         Bytes(self.0.checked_add(rhs.0).expect("byte count overflowed"))
     }
 }
@@ -119,11 +122,14 @@ impl AddAssign for Bytes {
 
 impl Sub for Bytes {
     type Output = Bytes;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn sub(self, rhs: Bytes) -> Bytes {
         Bytes(
             self.0
                 .checked_sub(rhs.0)
-                // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
                 .expect("byte count underflowed below zero"),
         )
     }
@@ -137,8 +143,11 @@ impl SubAssign for Bytes {
 
 impl Mul<u64> for Bytes {
     type Output = Bytes;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn mul(self, rhs: u64) -> Bytes {
-        // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
         Bytes(self.0.checked_mul(rhs).expect("byte count overflowed"))
     }
 }
@@ -250,8 +259,11 @@ impl fmt::Display for Bandwidth {
 
 impl Add for Bandwidth {
     type Output = Bandwidth;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn add(self, rhs: Bandwidth) -> Bandwidth {
-        // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
         Bandwidth(self.0.checked_add(rhs.0).expect("bandwidth overflowed"))
     }
 }
@@ -264,11 +276,14 @@ impl AddAssign for Bandwidth {
 
 impl Sub for Bandwidth {
     type Output = Bandwidth;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn sub(self, rhs: Bandwidth) -> Bandwidth {
         Bandwidth(
             self.0
                 .checked_sub(rhs.0)
-                // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
                 .expect("bandwidth underflowed below zero"),
         )
     }
@@ -466,8 +481,11 @@ impl fmt::Display for Money {
 
 impl Add for Money {
     type Output = Money;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn add(self, rhs: Money) -> Money {
-        // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
         Money(self.0.checked_add(rhs.0).expect("money overflowed"))
     }
 }
@@ -480,16 +498,22 @@ impl AddAssign for Money {
 
 impl Sub for Money {
     type Output = Money;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn sub(self, rhs: Money) -> Money {
-        // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
         Money(self.0.checked_sub(rhs.0).expect("money overflowed"))
     }
 }
 
 impl Mul<i64> for Money {
     type Output = Money;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn mul(self, rhs: i64) -> Money {
-        // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
         Money(self.0.checked_mul(rhs).expect("money overflowed"))
     }
 }
@@ -610,8 +634,11 @@ impl fmt::Display for Cycles {
 
 impl Add for Cycles {
     type Output = Cycles;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result"
+    )]
     fn add(self, rhs: Cycles) -> Cycles {
-        // lint: allow(P1) reason=checked arithmetic: panic is the documented overflow diagnostic; operator impls cannot return Result
         Cycles(self.0.checked_add(rhs.0).expect("cycle count overflowed"))
     }
 }

@@ -273,8 +273,11 @@ impl MapReducePlan {
         let completed_before = sim.completed().len();
         // The whole shuffle wave lands at one instant: batch it so the
         // fabric recomputes rates once, not once per transfer.
+        #[expect(
+            clippy::expect_used,
+            reason = "shuffle endpoints are hosts of one connected topology built above"
+        )]
         sim.inject_batch(flows, shuffle_start)
-            // lint: allow(P1) reason=shuffle endpoints are hosts of one connected topology built above
             .expect("shuffle flow must be routable");
         let shuffle_end = sim.run_to_completion();
         let shuffle_time = shuffle_end.saturating_duration_since(shuffle_start);

@@ -116,7 +116,10 @@ impl TrafficPattern {
         let hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
         assert!(hosts.len() >= 2, "traffic needs at least two hosts");
         let by_rack = topo.hosts_by_rack();
-        // lint: allow(P1) reason=traffic matrices draw endpoints from topo.hosts(), which always have racks
+        #[expect(
+            clippy::expect_used,
+            reason = "traffic matrices draw endpoints from topo.hosts(), which always have racks"
+        )]
         let rack_of = |d: DeviceId| topo.device(d).kind.rack().expect("hosts have racks");
 
         let mut events: Vec<(SimTime, FlowSpec)> = Vec::new();

@@ -213,7 +213,10 @@ fn start_service(w: &mut World, ctx: &mut EventContext<World>) {
 }
 
 fn finish_service(w: &mut World, ctx: &mut EventContext<World>) {
-    // lint: allow(P1) reason=finish_service only fires for a request previously queued by start_service
+    #[expect(
+        clippy::expect_used,
+        reason = "finish_service only fires for a request previously queued by start_service"
+    )]
     let started = w.queue.pop_front().expect("a request was in service");
     w.served += 1;
     let wait = ctx.now().duration_since(started).as_secs_f64();

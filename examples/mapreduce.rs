@@ -57,7 +57,7 @@ fn run_job(cloud: &PiCloud, job: &MapReduceJob, workers: usize) {
             )
         })
         .collect();
-    uplinks.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+    uplinks.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("  busiest uplinks during the job:");
     for (name, util) in uplinks.iter().take(3) {
         println!("    {name:<16} mean {:.1}%", util * 100.0);

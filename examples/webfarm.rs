@@ -81,7 +81,7 @@ fn main() {
             view.mean_cpu_percent,
             view.rows
                 .iter()
-                .max_by(|a, b| a.cpu_percent.partial_cmp(&b.cpu_percent).unwrap())
+                .max_by(|a, b| a.cpu_percent.total_cmp(&b.cpu_percent))
                 .map(|r| format!("{} at {:.0}%", r.node, r.cpu_percent))
                 .unwrap_or_default()
         );

@@ -18,7 +18,6 @@
 //!     --fn avg_over_time --window 120
 //! cargo run --bin picloud-cli -- alerts --experiment e17 --format jsonl
 //! cargo run --bin picloud-cli -- panel
-//! cargo run --bin picloud-cli -- lint --format jsonl
 //! cargo run --bin picloud-cli -- chaos --seed 100 --schedules 25 --profile e17
 //! cargo run --bin picloud-cli -- estimate --fidelity estimate --out sweep.jsonl
 //! ```
@@ -38,12 +37,6 @@
 //! `alerts` turns a PAGE verdict into a non-zero exit code for CI
 //! gating. See `OBSERVABILITY.md` for the formats, span catalogue, SLO
 //! rule schema and the tsdb query semantics.
-//!
-//! `lint` is a passthrough to `picloud-lint`: it scans the workspace,
-//! prints the report (text by default, `--format jsonl` for the export
-//! form, `--format github` for PR annotations) and checks the ratchet
-//! against `lint-baseline.json`, failing on any new violation. See
-//! `LINTS.md` for the rule book.
 //!
 //! `chaos` runs seeded adversarial fault schedules against the recovery
 //! stack with the invariant registry armed; violations are shrunk to
@@ -237,74 +230,6 @@ fn export_telemetry(subcommand: &str, opts: &ExportOpts<'_>) -> bool {
         }
     }
     true
-}
-
-/// Runs the `lint` subcommand: scan, render in the requested format
-/// (text by default, like `spans`/`slo`), then ratchet against the
-/// committed baseline. Returns false on new violations so the CLI exit
-/// code matches `picloud-lint --check-baseline`.
-fn run_lint(format: Option<&str>, out: Option<&str>) -> bool {
-    use picloud_lint::baseline::{Baseline, Ratchet};
-    let ws = match picloud_lint::Workspace::discover(None) {
-        Ok(ws) => ws,
-        Err(e) => {
-            eprintln!("lint: {e}");
-            return false;
-        }
-    };
-    let report = match ws.scan() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("lint: {e}");
-            return false;
-        }
-    };
-    let text = match format {
-        Some("jsonl") => report.to_jsonl(),
-        Some("github") => report.to_github(),
-        None | Some("text") => report.to_text(),
-        Some(other) => {
-            eprintln!("unknown --format '{other}' (text, jsonl, github)");
-            return false;
-        }
-    };
-    match out {
-        None => print!("{text}"),
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("cannot write {path}: {e}");
-                return false;
-            }
-            eprintln!("wrote {} bytes to {path}", text.len());
-        }
-    }
-    let baseline = match Baseline::load(&ws.baseline_path()) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("lint: {e}");
-            return false;
-        }
-    };
-    match baseline.ratchet(&report) {
-        Ratchet::Clean | Ratchet::Shrunk(_) => {
-            eprintln!("lint: baseline clean (no new violations)");
-            true
-        }
-        Ratchet::Grew(regressions) => {
-            eprintln!(
-                "lint: {} bucket(s) grew past the baseline:",
-                regressions.len()
-            );
-            for r in &regressions {
-                eprintln!(
-                    "  {} {}: {} finding(s), baseline tolerates {}",
-                    r.rule, r.file, r.current, r.baselined
-                );
-            }
-            eprintln!("see LINTS.md for the rules and the ratchet workflow");
-            false
-        }
-    }
 }
 
 /// Runs the `chaos` subcommand: N seeded adversarial schedules against
@@ -539,7 +464,6 @@ fn main() -> ExitCode {
                     "       picloud estimate [--seed N] [--fidelity exact|estimate] \
                      [--format jsonl] [--out FILE]"
                 );
-                println!("       picloud lint [--format text|jsonl|github] [--out FILE]");
                 println!(
                     "       picloud chaos [--seed N] [--schedules N] \
                      [--profile e17|oversub] [--out DIR]\n"
@@ -574,11 +498,6 @@ fn main() -> ExitCode {
             }
             "estimate" => {
                 if !run_estimate_cmd(seed, fidelity.as_deref(), format.as_deref(), out.as_deref()) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            "lint" => {
-                if !run_lint(format.as_deref(), out.as_deref()) {
                     return ExitCode::FAILURE;
                 }
             }

@@ -170,7 +170,7 @@ fn image_patch_rolls_out_to_exactly_the_stale_nodes() {
 #[test]
 fn dhcp_survives_mass_spawn_across_racks() {
     let mut cloud = PiCloud::glasgow();
-    let mut addresses = std::collections::HashSet::new();
+    let mut addresses = std::collections::BTreeSet::new();
     for node in 0..56u32 {
         let ApiResponse::Spawned { address, .. } = cloud
             .api(

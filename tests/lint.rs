@@ -1,75 +1,99 @@
-//! The lint ratchet as a tier-1 test: the working tree must never owe
-//! more determinism/panic-safety debt than the committed
-//! `lint-baseline.json` tolerates.
+//! The two rules that clippy's configuration cannot state
+//! (LINTS.md), checked over the source tree as tier-1 tests.
 //!
-//! `cargo test` therefore fails on any new `HashMap` (aliased or not),
-//! wall-clock read, ambient RNG, rogue thread spawn, non-total float
-//! ordering, unwrap-without-justification, undocumented public contract
-//! item — or any new public function transitively reaching one of those
-//! sources (D5) — the same gate CI runs via
-//! `cargo run -p picloud-lint -- --check-baseline`, minus the
-//! auto-shrink side effect (tests must not rewrite checked-in files).
+//! * F1: `partial_cmp` is not a total order on floats; a NaN key panics
+//!   the comparator or silently reorders a sort. A `disallowed-methods`
+//!   entry for `PartialOrd::partial_cmp` would also fire on every
+//!   `#[derive(PartialOrd)]`, so the rule is a source scan instead.
+//! * Crate coverage: the panic-safety lints live in the workspace
+//!   `[lints]` table, which a crate must opt into. A new library crate
+//!   that forgets the opt-in would silently escape them.
 
-use picloud_lint::baseline::{Baseline, Ratchet};
-use picloud_lint::Workspace;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn rel(path: &Path) -> String {
+    path.strip_prefix(root())
+        .unwrap_or(path)
+        .display()
+        .to_string()
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let mut entries: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
+        .map(|e| e.expect("directory entry").path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// `crates/*` directories, sorted.
+fn crate_dirs() -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = fs::read_dir(root().join("crates"))
+        .expect("crates/ exists")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.join("Cargo.toml").is_file())
+        .collect();
+    dirs.sort();
+    dirs
+}
 
 #[test]
-fn workspace_owes_no_new_lint_debt() {
-    let ws = Workspace::discover(None).expect("workspace root");
-    let report = ws.scan().expect("scan succeeds");
-    let committed = Baseline::load(&ws.baseline_path()).expect("baseline parses");
-    match committed.ratchet(&report) {
-        Ratchet::Clean => {}
-        Ratchet::Shrunk(smaller) => {
-            // Debt went down — not a failure, but the baseline should be
-            // re-anchored so the improvement can't silently regress.
-            eprintln!(
-                "note: lint debt shrank to {} bucket(s); run \
-                 `cargo run -p picloud-lint -- --check-baseline` and commit \
-                 the updated lint-baseline.json",
-                smaller.entries.len()
-            );
-        }
-        Ratchet::Grew(regressions) => {
-            let mut msg = String::from("new lint violations past the baseline:\n");
-            for r in &regressions {
-                msg.push_str(&format!(
-                    "  {} {}: {} finding(s), baseline tolerates {}\n",
-                    r.rule, r.file, r.current, r.baselined
-                ));
+fn f1_no_partial_cmp_in_library_or_example_code() {
+    let mut files = Vec::new();
+    for dir in crate_dirs() {
+        rust_files(&dir.join("src"), &mut files);
+    }
+    rust_files(&root().join("src"), &mut files);
+    rust_files(&root().join("examples"), &mut files);
+    assert!(files.len() > 50, "scan found only {} files", files.len());
+
+    let mut hits = Vec::new();
+    for file in &files {
+        let text = fs::read_to_string(file).expect("readable source");
+        for (i, line) in text.lines().enumerate() {
+            let code = line.split("//").next().unwrap_or("");
+            if code.contains(".partial_cmp(") {
+                hits.push(format!("{}:{}: {}", rel(file), i + 1, line.trim()));
             }
-            msg.push_str(
-                "fix them, add a justified `// lint: allow(..) reason=..` marker, \
-                 or see LINTS.md for the ratchet workflow",
-            );
-            panic!("{msg}");
         }
     }
+    assert!(
+        hits.is_empty(),
+        "F1: use f64::total_cmp instead of partial_cmp:\n{}",
+        hits.join("\n")
+    );
 }
 
 #[test]
-fn lint_report_is_deterministic_at_workspace_scale() {
-    let ws = Workspace::discover(None).expect("workspace root");
-    let a = ws.scan().expect("scan");
-    let b = ws.scan().expect("scan");
-    assert_eq!(a.to_text(), b.to_text());
-    assert_eq!(a.to_jsonl(), b.to_jsonl());
-    assert_eq!(a.to_github(), b.to_github());
-}
-
-#[test]
-fn every_d5_finding_carries_a_witness_path() {
-    let ws = Workspace::discover(None).expect("workspace root");
-    let report = ws.scan().expect("scan");
-    for f in report.findings.iter().filter(|f| f.rule == "D5") {
-        assert!(
-            f.path.len() >= 2,
-            "D5 at {}:{} has no witness chain: {:?}",
-            f.file,
-            f.line,
-            f.path
-        );
-        // The message names the source the chain ends at.
-        assert!(f.message.contains("transitively reaches"), "{}", f.message);
+fn every_library_crate_inherits_the_workspace_lints() {
+    let mut missing = Vec::new();
+    for dir in crate_dirs() {
+        if dir.ends_with("bench") {
+            continue; // benches time the host and may panic; see LINTS.md
+        }
+        let manifest = fs::read_to_string(dir.join("Cargo.toml")).expect("readable manifest");
+        let opted_in = manifest
+            .split("\n[")
+            .any(|table| table.starts_with("lints]") && table.contains("\nworkspace = true"));
+        if !opted_in {
+            missing.push(rel(&dir));
+        }
     }
+    assert!(
+        missing.is_empty(),
+        "these crates need `[lints] workspace = true` in their Cargo.toml: {}",
+        missing.join(", ")
+    );
 }
