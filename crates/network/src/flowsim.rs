@@ -20,11 +20,15 @@
 //!
 //! # Scaling machinery (DESIGN.md §4, "fabric scaling")
 //!
-//! Three structures keep the hot path sub-quadratic in active flows:
+//! Four structures keep the hot path sub-quadratic in active flows:
 //!
-//! * an **inverted resource→flows index** (`flows_on`, a `BTreeSet` per
-//!   link direction) so utilisation queries and rate recomputation touch
-//!   only the flows on affected resources;
+//! * one **flow table**, an append-only slot arena whose slot order is
+//!   ascending flow-id order, so every ordered walk (clock advance,
+//!   region gather, rate apply) is a plain walk in slot order and every
+//!   float accumulates in ascending id order;
+//! * an **inverted resource→flows index** (`flows_on`, one ascending row
+//!   of flow-table slots per link direction) so utilisation queries and
+//!   rate recomputation touch only the flows on affected resources;
 //! * an **incremental solver** ([`RecomputeMode::Incremental`], the
 //!   default) that re-solves only the *dirty region* — the resources on
 //!   the changed flow's path plus the transitive closure of flows sharing
@@ -33,8 +37,8 @@
 //!   (`tests/flowsim_equiv.rs` proves it on seeded random workloads);
 //! * a **completion-time min-heap** with lazy invalidation (per-flow rate
 //!   epochs, like the engine's cancelled set) replacing the O(active)
-//!   scan in [`FlowSimulator::next_completion_time`] — sharded per
-//!   topology partition so each pod's churn only disturbs its own heap.
+//!   scan in [`FlowSimulator::next_completion_time`]: an entry is live
+//!   while its flow is still in the table at the entry's epoch.
 //!
 //! # Partitioned parallel solve (DESIGN.md §4c)
 //!
@@ -43,11 +47,11 @@
 //! core/gateway links form the *shared spine*). Each recomputation
 //! splits the dirty set into its connected sharing components, solves
 //! the components concurrently on [`partition::SolverPool`] — a
-//! deterministic, persistent, clock-free worker pool — and merges the
-//! results in ascending flow-id order. Because disjoint components
-//! share no resource, per-component arithmetic is identical to the
-//! joint solve, so the result is **bit-for-bit independent of the
-//! worker count** ([`FlowSimulator::set_workers`]);
+//! deterministic, persistent, clock-free worker pool — and applies the
+//! results component by component, flows in ascending id order. Because
+//! disjoint components share no resource, per-component arithmetic is
+//! identical to the joint solve, so the result is **bit-for-bit
+//! independent of the worker count** ([`FlowSimulator::set_workers`]);
 //! `tests/flowsim_equiv.rs` pins this against the serial oracle at
 //! worker counts 1, 2 and 8. Cross-partition flows collapse their
 //! regions into a single shared-spine solve, which runs exactly like
@@ -69,7 +73,7 @@ use picloud_simcore::telemetry::MetricsRegistry;
 use picloud_simcore::{SimDuration, SimTime, TimeWeightedGauge};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -170,7 +174,7 @@ pub struct FlowSimulator {
     allocator: RateAllocator,
     mode: RecomputeMode,
     now: SimTime,
-    active: ActiveTable,
+    table: FlowTable,
     next_id: u64,
     completed: Vec<CompletedFlow>,
     /// Monotonic count of every completion ever recorded — survives
@@ -178,8 +182,9 @@ pub struct FlowSimulator {
     completed_total: u64,
     /// Capacity per resource (2 per link: even = a→b, odd = b→a), bits/s.
     resource_capacity: Vec<f64>,
-    /// Inverted index: the active flows crossing each resource.
-    flows_on: Vec<BTreeSet<FlowId>>,
+    /// Inverted index: the flow-table slots of the active flows crossing
+    /// each resource, ascending (and so in flow-id order).
+    flows_on: Vec<Vec<u32>>,
     /// Resource-sharing adjacency, one sparse row per resource: row `a`
     /// maps each co-traversed resource `b` to the number of active flows
     /// crossing both. Lets the dirty-region walk stay purely on
@@ -203,10 +208,8 @@ pub struct FlowSimulator {
     /// clone — `run_ordered` calls are independent, so two simulators
     /// can safely queue onto the same workers.
     pool: Option<Arc<SolverPool>>,
-    /// Min-heaps of predicted completion instants (lazy invalidation),
-    /// sharded per partition bucket — local partitions first, the
-    /// shared-spine bucket last — so pod-local churn stays pod-local.
-    completions: Vec<BinaryHeap<Reverse<CompletionEntry>>>,
+    /// Min-heap of predicted completion instants (lazy invalidation).
+    completions: BinaryHeap<Reverse<CompletionEntry>>,
     /// Regions solved per partition bucket since construction (the
     /// `network_partition_solves_total` telemetry counter).
     partition_solves: Vec<u64>,
@@ -220,140 +223,111 @@ struct ActiveFlow {
     /// Bumped on every rate change; completion-heap entries carrying an
     /// older epoch are stale.
     epoch: u64,
-    /// The shard this flow lives in — active table and completion heap
-    /// alike: its partition bucket, fixed for the flow's lifetime (paths
-    /// never change after injection).
-    bucket: u32,
 }
 
-/// The active-flow table, sharded by partition bucket (local partitions
-/// first, the shared-spine bucket last) so that a region solve only
-/// touches maps sized to its own partition — lookups during gather and
-/// apply stay cache-resident no matter how many flows the *other* pods
-/// carry. Shard key-sets are disjoint (a flow lives in exactly the
-/// bucket of its resources), so a k-way merge over the shards recovers
-/// the global ascending-id iteration order bit-for-bit.
-#[derive(Debug, Clone)]
-struct ActiveTable {
-    shards: Vec<BTreeMap<FlowId, ActiveFlow>>,
-    total: usize,
+/// The active flows: an append-only slot arena whose slot order is
+/// ascending flow-id order. Ids are issued in increasing order, so a
+/// push keeps that order; a retired flow leaves a hole that keeps its id
+/// (lookups binary-search `ids`) until [`FlowTable::compact`] closes the
+/// holes, which shifts slots down without reordering them.
+#[derive(Debug, Clone, Default)]
+struct FlowTable {
+    /// Flow id per slot, strictly ascending.
+    ids: Vec<FlowId>,
+    /// The flow in each slot; `None` is a hole.
+    flows: Vec<Option<ActiveFlow>>,
+    /// Occupied slots.
+    live: usize,
 }
 
-impl ActiveTable {
-    fn new(shards: usize) -> Self {
-        ActiveTable {
-            shards: vec![BTreeMap::new(); shards],
-            total: 0,
+impl FlowTable {
+    /// Appends `af`, whose id exceeds every id in the table, returning
+    /// its slot — the highest in the table.
+    fn push(&mut self, af: ActiveFlow) -> u32 {
+        debug_assert!(self.ids.last().is_none_or(|&last| last < af.flow.id));
+        let slot = self.flows.len() as u32;
+        self.ids.push(af.flow.id);
+        self.flows.push(Some(af));
+        self.live += 1;
+        slot
+    }
+
+    /// The slot holding `id`, occupied or a hole.
+    fn slot_of(&self, id: FlowId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// The active flow `id`.
+    fn get(&self, id: FlowId) -> Option<&ActiveFlow> {
+        self.flows[self.slot_of(id)?].as_ref()
+    }
+
+    /// The flow in an occupied `slot` (one read from `flows_on`).
+    #[expect(
+        clippy::expect_used,
+        reason = "flows_on rows and the jobs gathered from them hold occupied slots only"
+    )]
+    fn at(&self, slot: u32) -> &ActiveFlow {
+        self.flows[slot as usize]
+            .as_ref()
+            .expect("indexed slots are occupied")
+    }
+
+    /// Mutable [`FlowTable::at`].
+    #[expect(
+        clippy::expect_used,
+        reason = "flows_on rows and the jobs gathered from them hold occupied slots only"
+    )]
+    fn at_mut(&mut self, slot: u32) -> &mut ActiveFlow {
+        self.flows[slot as usize]
+            .as_mut()
+            .expect("indexed slots are occupied")
+    }
+
+    /// Empties `slot`, returning its flow (`None` for a hole).
+    fn retire(&mut self, slot: usize) -> Option<ActiveFlow> {
+        let af = self.flows[slot].take();
+        self.live -= usize::from(af.is_some());
+        af
+    }
+
+    /// Closes the holes once they exceed `2 × live + 64` — the completion
+    /// heap's compaction rule — and returns every old slot's new slot
+    /// (`u32::MAX` for a hole), so slot-valued indexes can be renumbered.
+    /// `None` when no compaction is due.
+    fn compact(&mut self) -> Option<Vec<u32>> {
+        if self.flows.len() - self.live <= 2 * self.live + 64 {
+            return None;
         }
-    }
-
-    fn len(&self) -> usize {
-        self.total
-    }
-
-    fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Inserts into the shard named by `af.bucket`.
-    fn insert(&mut self, id: FlowId, af: ActiveFlow) {
-        let b = af.bucket as usize;
-        if self.shards[b].insert(id, af).is_none() {
-            self.total += 1;
-        }
-    }
-
-    /// Lookup when the owning shard is known (completion-heap entries
-    /// always name their own shard).
-    fn get_in(&self, bucket: u32, id: &FlowId) -> Option<&ActiveFlow> {
-        self.shards[bucket as usize].get(id)
-    }
-
-    /// Lookup by id alone, probing shards in bucket order. Shards are
-    /// disjoint, so at most one can answer.
-    fn get_mut_any(&mut self, id: &FlowId) -> Option<&mut ActiveFlow> {
-        self.shards.iter_mut().find_map(|s| s.get_mut(id))
-    }
-
-    /// Removal when the owning shard is known.
-    fn remove_in(&mut self, bucket: u32, id: &FlowId) -> Option<ActiveFlow> {
-        let removed = self.shards[bucket as usize].remove(id);
-        if removed.is_some() {
-            self.total -= 1;
-        }
-        removed
-    }
-
-    /// Removal by id alone, probing shards in bucket order.
-    fn remove_any(&mut self, id: &FlowId) -> Option<ActiveFlow> {
-        for s in &mut self.shards {
-            if let Some(af) = s.remove(id) {
-                self.total -= 1;
-                return Some(af);
+        let mut new_slot = vec![u32::MAX; self.flows.len()];
+        let mut kept = 0;
+        for (old, slot) in new_slot.iter_mut().enumerate() {
+            if self.flows[old].is_some() {
+                *slot = kept as u32;
+                self.flows.swap(kept, old);
+                self.ids.swap(kept, old);
+                kept += 1;
             }
         }
-        None
-    }
-
-    /// All flows in ascending id order — the k-way merge over the
-    /// disjoint shards, bit-identical to iterating one global map.
-    fn iter_merged(&self) -> impl Iterator<Item = (FlowId, &ActiveFlow)> {
-        let mut iters: Vec<_> = self.shards.iter().map(|s| s.iter().peekable()).collect();
-        std::iter::from_fn(move || {
-            let mut best: Option<(FlowId, usize)> = None;
-            for (k, it) in iters.iter_mut().enumerate() {
-                if let Some(&(&id, _)) = it.peek() {
-                    if best.is_none_or(|(bid, _)| id < bid) {
-                        best = Some((id, k));
-                    }
-                }
-            }
-            let (_, k) = best?;
-            iters[k].next().map(|(id, af)| (*id, af))
-        })
-    }
-}
-
-/// Visits every flow across `shards` in ascending id order with mutable
-/// access — the `iter_mut` flavour of [`ActiveTable::iter_merged`],
-/// shared by the clock advance and the dense apply walk.
-fn for_each_merged_mut(
-    shards: &mut [BTreeMap<FlowId, ActiveFlow>],
-    mut f: impl FnMut(FlowId, &mut ActiveFlow),
-) {
-    let mut iters: Vec<_> = shards.iter_mut().map(|s| s.iter_mut().peekable()).collect();
-    loop {
-        let mut best: Option<(FlowId, usize)> = None;
-        for (k, it) in iters.iter_mut().enumerate() {
-            if let Some((&id, _)) = it.peek() {
-                if best.is_none_or(|(bid, _)| id < bid) {
-                    best = Some((id, k));
-                }
-            }
-        }
-        let Some((_, k)) = best else { break };
-        let Some((id, af)) = iters[k].next() else {
-            break;
-        };
-        f(*id, af);
+        self.flows.truncate(kept);
+        self.ids.truncate(kept);
+        Some(new_slot)
     }
 }
 
 /// One disjoint dirty region prepared for solving, fully **owned**: its
 /// resources (with capacities and inverted-index counts snapshotted from
-/// the simulator) plus its flow table (ids ascending; weights and
+/// the simulator) plus its flows (flow-table slots ascending; weights and
 /// CSR-flattened paths index-aligned). Owning the data lets the job ship
 /// to the persistent [`SolverPool`], whose workers outlive any single
-/// borrow of the simulator; the solve arithmetic below is a line-for-line
-/// transcription of the borrowed original, so results stay bit-for-bit
-/// identical (pinned by `tests/flowsim_equiv.rs`).
+/// borrow of the simulator.
 struct SolveJob {
     /// Global resource count — scratch vectors are dense and
-    /// resource-indexed, exactly like the pre-pool solver.
+    /// resource-indexed.
     n_res: usize,
     res_list: Vec<usize>,
-    bucket: u32,
-    flows: Vec<FlowId>,
+    /// The region's flow-table slots, ascending (so in flow-id order).
+    slots: Vec<u32>,
     weight: Vec<f64>,
     /// CSR offsets: flow `i`'s path occupies
     /// `path_res[path_start[i] as usize..path_start[i + 1] as usize]`.
@@ -373,7 +347,7 @@ impl SolveJob {
     }
 
     /// Solves this region under `allocator`, returning rates
-    /// index-aligned with `flows`.
+    /// index-aligned with `slots`.
     fn solve(&self, allocator: RateAllocator) -> Vec<f64> {
         match allocator {
             RateAllocator::MaxMin => self.solve_max_min(),
@@ -389,17 +363,14 @@ impl SolveJob {
     /// makes incremental and full recomputes bit-for-bit equivalent.
     fn solve_max_min(&self) -> Vec<f64> {
         let n_res = self.n_res;
-        let n_flows = self.flows.len();
+        let n_flows = self.slots.len();
         let mut cap_left = vec![0.0f64; n_res];
         for (k, &r) in self.res_list.iter().enumerate() {
             cap_left[r] = self.capacity[k];
         }
         let mut rates = vec![0.0f64; n_flows];
-        // A flow with no path (retired, or a degenerate same-host route)
-        // crosses no bottleneck; it keeps rate 0.0 without entering the
-        // fill at all.
-        let mut frozen: Vec<bool> = (0..n_flows).map(|i| self.path(i).is_empty()).collect();
-        let mut n_unfrozen = frozen.iter().filter(|f| !**f).count();
+        let mut frozen = vec![false; n_flows];
+        let mut n_unfrozen = n_flows;
         // Weighted max-min: each resource tracks the total weight of the
         // unfrozen flows crossing it; the fair share is per unit weight.
         let mut weight_on: Vec<f64> = vec![0.0; n_res];
@@ -440,8 +411,9 @@ impl SolveJob {
                 }
             }
             let Some((bott, fair)) = bottleneck else {
-                // Remaining flows traverse no resources (can't happen for
-                // non-empty paths) — their rates stay 0.0.
+                // No resource carries unfrozen weight. Every active flow
+                // has a non-empty path, so only float residue gets here;
+                // the remaining rates stay 0.0.
                 break;
             };
             // Freeze every unfrozen flow crossing the bottleneck at its
@@ -476,7 +448,7 @@ impl SolveJob {
 
     /// Equal split per resource, minimum along the path, restricted to
     /// the region (counts were snapshotted from the inverted index).
-    /// Returns rates index-aligned with the region flow table.
+    /// Returns rates index-aligned with `slots`.
     fn solve_equal_share(&self) -> Vec<f64> {
         let n_res = self.n_res;
         let mut shares = vec![f64::INFINITY; n_res];
@@ -486,7 +458,7 @@ impl SolveJob {
                 shares[r] = self.capacity[k] / n as f64;
             }
         }
-        (0..self.flows.len())
+        (0..self.slots.len())
             .map(|i| {
                 let rate = self
                     .path(i)
@@ -526,18 +498,18 @@ impl FlowSimulator {
             })
             .collect();
         let partitions = PartitionMap::derive(&topo);
-        let shards = partitions.shard_count();
+        let buckets = partitions.shard_count();
         FlowSimulator {
             router: Router::new(policy),
             allocator,
             mode: RecomputeMode::default(),
             now: SimTime::ZERO,
-            active: ActiveTable::new(shards),
+            table: FlowTable::default(),
             next_id: 0,
             completed: Vec::new(),
             completed_total: 0,
             resource_capacity,
-            flows_on: vec![BTreeSet::new(); n_res],
+            flows_on: vec![Vec::new(); n_res],
             res_adj: vec![BTreeMap::new(); n_res],
             resource_used: vec![0.0; n_res],
             resource_util: (0..n_res)
@@ -547,8 +519,8 @@ impl FlowSimulator {
             partitions,
             workers: 1,
             pool: None,
-            completions: vec![BinaryHeap::new(); shards],
-            partition_solves: vec![0; shards],
+            completions: BinaryHeap::new(),
+            partition_solves: vec![0; buckets],
             topo,
         }
     }
@@ -609,7 +581,7 @@ impl FlowSimulator {
 
     /// Number of in-flight flows.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.table.live
     }
 
     /// Completed flows, in completion order.
@@ -643,15 +615,19 @@ impl FlowSimulator {
     /// Snapshot of `(id, allocated rate in bits/s)` for every active
     /// flow, ascending by id.
     pub fn active_rates(&self) -> Vec<(FlowId, f64)> {
-        self.active
-            .iter_merged()
-            .map(|(id, af)| (id, af.flow.rate_bps))
+        self.table
+            .flows
+            .iter()
+            .flatten()
+            .map(|af| (af.flow.id, af.flow.rate_bps))
             .collect()
     }
 
     /// Injects a flow at time `at` (must not precede the current time).
     ///
-    /// Zero-sized flows complete immediately (after path latency).
+    /// Zero-sized flows, and flows whose source is their destination
+    /// (they cross no fabric resource), complete immediately (after path
+    /// latency, which is zero for a same-host flow).
     ///
     /// # Errors
     ///
@@ -715,7 +691,7 @@ impl FlowSimulator {
                 .map(|l| self.topo.link(*l).latency)
                 .fold(SimDuration::ZERO, SimDuration::saturating_add);
             let size_bits = spec.size.as_u64() as f64 * 8.0;
-            if size_bits <= EPSILON_BITS {
+            if size_bits <= EPSILON_BITS || resources.is_empty() {
                 self.completed.push(CompletedFlow {
                     id,
                     spec,
@@ -733,19 +709,15 @@ impl FlowSimulator {
                 remaining_bits: size_bits,
                 rate_bps: 0.0,
             };
-            self.index_add(id, &resources);
+            let first = seeds.len();
             seeds.extend(resources.iter().copied());
-            let bucket = self.flow_bucket(&resources);
-            self.active.insert(
-                id,
-                ActiveFlow {
-                    flow,
-                    resources,
-                    prop_latency,
-                    epoch: 0,
-                    bucket,
-                },
-            );
+            let slot = self.table.push(ActiveFlow {
+                flow,
+                resources,
+                prop_latency,
+                epoch: 0,
+            });
+            self.index_add(slot, &seeds[first..]);
         }
         if !seeds.is_empty() {
             self.recompute_rates(&seeds);
@@ -756,8 +728,9 @@ impl FlowSimulator {
     /// Cancels an in-flight flow (a failed request, an aborted migration).
     /// Returns the partially-transferred flow if it was active.
     pub fn cancel(&mut self, id: FlowId) -> Option<Flow> {
-        let af = self.active.remove_any(&id)?;
-        self.index_remove(id, &af.resources);
+        let slot = self.table.slot_of(id)?;
+        let af = self.table.retire(slot)?;
+        self.index_remove(slot as u32, &af.resources);
         self.recompute_rates(&af.resources);
         Some(af.flow)
     }
@@ -765,47 +738,29 @@ impl FlowSimulator {
     /// Earliest instant at which an active flow completes its transfer, or
     /// `None` if nothing is active (or everything is rate-starved).
     ///
-    /// Served from the per-partition completion min-heaps: stale entries
-    /// (flow gone, or re-rated since the prediction) are popped lazily
-    /// here, then the earliest live prediction across the shards wins
-    /// (ties broken by flow id, so the scan order is immaterial).
-    /// Completion delays are rounded *up* to the next nanosecond, so the
-    /// clock always makes progress.
+    /// Served from the completion min-heap: stale entries (flow gone, or
+    /// re-rated since the prediction) are popped lazily here, then the
+    /// earliest live prediction wins. Completion delays are rounded *up*
+    /// to the next nanosecond, so the clock always makes progress.
     pub fn next_completion_time(&mut self) -> Option<SimTime> {
-        let mut best: Option<(SimTime, FlowId)> = None;
-        for s in 0..self.completions.len() {
-            while let Some(Reverse(e)) = self.completions[s].peek() {
-                let top = *e;
-                let Some(af) = self.active.get_in(s as u32, &top.id) else {
-                    self.completions[s].pop();
-                    continue;
-                };
-                if af.epoch != top.epoch {
-                    self.completions[s].pop();
-                    continue;
-                }
-                if top.at <= self.now && af.flow.remaining_bits > EPSILON_BITS {
-                    // A sub-nanosecond residual survived the predicted
-                    // instant; re-predict from the current remaining
-                    // volume (≥ 1 ns ahead, so this cannot loop).
-                    let at = completion_at(self.now, af.flow.remaining_bits, af.flow.rate_bps);
-                    let entry = CompletionEntry {
-                        at,
-                        id: top.id,
-                        epoch: af.epoch,
-                    };
-                    self.completions[s].pop();
-                    self.completions[s].push(Reverse(entry));
-                    continue;
-                }
-                match best {
-                    Some(b) if b <= (top.at, top.id) => {}
-                    _ => best = Some((top.at, top.id)),
-                }
-                break;
+        while let Some(&Reverse(top)) = self.completions.peek() {
+            let Some(af) = self.table.get(top.id).filter(|af| af.epoch == top.epoch) else {
+                self.completions.pop();
+                continue;
+            };
+            if top.at <= self.now && af.flow.remaining_bits > EPSILON_BITS {
+                // A sub-nanosecond residual survived the predicted
+                // instant; re-predict from the current remaining
+                // volume (≥ 1 ns ahead, so this cannot loop).
+                let at = completion_at(self.now, af.flow.remaining_bits, af.flow.rate_bps);
+                self.completions.pop();
+                self.completions
+                    .push(Reverse(CompletionEntry { at, ..top }));
+                continue;
             }
+            return Some(top.at);
         }
-        best.map(|(at, _)| at)
+        None
     }
 
     /// Advances the clock to `deadline`, completing flows as they finish.
@@ -843,7 +798,7 @@ impl FlowSimulator {
     ///
     /// Panics if active flows exist but none can make progress.
     pub fn run_to_completion(&mut self) -> SimTime {
-        while !self.active.is_empty() {
+        while self.table.live > 0 {
             #[expect(
                 clippy::expect_used,
                 reason = "documented panic — rate-starved flows indicate a topology configuration error (see # Panics)"
@@ -898,7 +853,7 @@ impl FlowSimulator {
     pub fn link_active_flows(&self, link: LinkId) -> usize {
         let fwd = &self.flows_on[link.index() * 2];
         let rev = &self.flows_on[link.index() * 2 + 1];
-        fwd.union(rev).count()
+        fwd.len() + rev.iter().filter(|s| fwd.binary_search(s).is_err()).count()
     }
 
     /// Records the fabric's telemetry into `reg` at the simulator's
@@ -973,28 +928,13 @@ impl FlowSimulator {
         out
     }
 
-    /// The completion-heap shard for a flow crossing `resources`: its
-    /// partition if every resource agrees, the shared-spine bucket
-    /// otherwise (cross-pod paths, or paths touching a spine link).
-    fn flow_bucket(&self, resources: &[ResourceId]) -> u32 {
-        let shared = self.partitions.shared_id();
-        let mut owner: Option<u32> = None;
+    /// Hooks the flow in `slot` into the inverted index and the
+    /// resource-sharing adjacency. `resources` is a simple path, so every
+    /// entry is unique, and `slot` is the table's highest, so a push keeps
+    /// every row ascending.
+    fn index_add(&mut self, slot: u32, resources: &[ResourceId]) {
         for r in resources {
-            let b = self.partitions.resource_bucket(r.0);
-            match owner {
-                None => owner = Some(b),
-                Some(o) if o == b => {}
-                Some(_) => return shared,
-            }
-        }
-        owner.unwrap_or(shared)
-    }
-
-    /// Hooks a flow into the inverted index and the resource-sharing
-    /// adjacency. `resources` is a simple path, so every entry is unique.
-    fn index_add(&mut self, id: FlowId, resources: &[ResourceId]) {
-        for r in resources {
-            self.flows_on[r.0].insert(id);
+            self.flows_on[r.0].push(slot);
         }
         for a in resources {
             let row = &mut self.res_adj[a.0];
@@ -1004,12 +944,15 @@ impl FlowSimulator {
         }
     }
 
-    /// Unhooks a flow from the inverted index and the adjacency counts,
-    /// dropping rows' entries that reach zero so the sparse adjacency
-    /// never outgrows the live sharing structure.
-    fn index_remove(&mut self, id: FlowId, resources: &[ResourceId]) {
+    /// Unhooks the flow in `slot` from the inverted index and the
+    /// adjacency counts, dropping rows' entries that reach zero so the
+    /// sparse adjacency never outgrows the live sharing structure.
+    fn index_remove(&mut self, slot: u32, resources: &[ResourceId]) {
         for r in resources {
-            self.flows_on[r.0].remove(&id);
+            let row = &mut self.flows_on[r.0];
+            if let Ok(k) = row.binary_search(&slot) {
+                row.remove(k);
+            }
         }
         for a in resources {
             let row = &mut self.res_adj[a.0];
@@ -1026,29 +969,28 @@ impl FlowSimulator {
     }
 
     /// Moves the clock forward, draining `remaining_bits` at current
-    /// rates and integrating utilisation gauges. Returns the flows that
-    /// drained dry during this step (with their owning shard), in
-    /// ascending id order — the same set and order a post-hoc scan would
-    /// find, without a second walk. The merged shard walk preserves the
-    /// global ascending-id order, so the per-resource bit accumulation
-    /// stays bit-identical to a single-map iteration.
-    fn advance_clock(&mut self, to: SimTime) -> Vec<(FlowId, u32)> {
+    /// rates and integrating utilisation gauges. Returns the slots of the
+    /// flows that drained dry during this step, ascending — the same set
+    /// and order a post-hoc scan would find, without a second walk. The
+    /// walk is in slot (so flow-id) order, which fixes the order in which
+    /// each resource accumulates its carried bits.
+    fn advance_clock(&mut self, to: SimTime) -> Vec<usize> {
         if to == self.now {
             return Vec::new();
         }
         let dt = to.duration_since(self.now).as_secs_f64();
         let mut finished = Vec::new();
-        let resource_bits = &mut self.resource_bits;
-        for_each_merged_mut(&mut self.active.shards, |id, af| {
+        for (slot, entry) in self.table.flows.iter_mut().enumerate() {
+            let Some(af) = entry else { continue };
             let moved = af.flow.rate_bps * dt;
             af.flow.remaining_bits = (af.flow.remaining_bits - moved).max(0.0);
             if af.flow.remaining_bits <= EPSILON_BITS {
-                finished.push((id, af.bucket));
+                finished.push(slot);
             }
             for r in &af.resources {
-                resource_bits[r.0] += moved;
+                self.resource_bits[r.0] += moved;
             }
-        });
+        }
         self.now = to;
         finished
     }
@@ -1058,16 +1000,16 @@ impl FlowSimulator {
     /// recompute. Active flows always carry `remaining_bits` above the
     /// epsilon outside [`FlowSimulator::advance_clock`], so the drain
     /// walk's harvest list is exhaustive.
-    fn harvest_completions(&mut self, finished: Vec<(FlowId, u32)>) -> Vec<ResourceId> {
+    fn harvest_completions(&mut self, finished: Vec<usize>) -> Vec<ResourceId> {
         let mut seeds = Vec::new();
-        for (id, bucket) in finished {
-            let Some(af) = self.active.remove_in(bucket, &id) else {
-                continue; // id came from self.active moments ago
+        for slot in finished {
+            let Some(af) = self.table.retire(slot) else {
+                continue; // slot was occupied moments ago
             };
-            self.index_remove(id, &af.resources);
+            self.index_remove(slot as u32, &af.resources);
             seeds.extend(af.resources.iter().copied());
             self.completed.push(CompletedFlow {
-                id,
+                id: af.flow.id,
                 spec: af.flow.spec,
                 started: af.flow.started,
                 finished: self.now.saturating_add(af.prop_latency),
@@ -1126,133 +1068,49 @@ impl FlowSimulator {
         }
     }
 
-    /// The region's flow table in one pass: ids (ascending), weights and
-    /// path slices, index-aligned. A region spanning every resource is
-    /// gathered by a merged ordered walk of the active shards; a partial
-    /// region unions the inverted-index rows. (The two differ only by
-    /// flows traversing no resources, which the solvers rate 0.0 without
-    /// side effects either way.)
-    ///
-    /// `bucket` is the region's partition bucket: a local region's flows
-    /// all live in that one shard (a flow of any other bucket on a region
-    /// resource would have dragged the closure across the spine), so the
-    /// lookups never touch maps owned by other partitions.
-    #[allow(
-        clippy::type_complexity,
-        reason = "three index-aligned columns of one flow table, returned together"
-    )]
-    fn region_flow_table(
-        &self,
-        res_list: &[usize],
-        bucket: u32,
-    ) -> (Vec<FlowId>, Vec<f64>, Vec<&[ResourceId]>) {
-        let n_res = self.resource_capacity.len();
-        if res_list.len() == n_res {
-            let mut flows = Vec::with_capacity(self.active.len());
-            let mut weight = Vec::with_capacity(self.active.len());
-            let mut paths = Vec::with_capacity(self.active.len());
-            for (id, af) in self.active.iter_merged() {
-                flows.push(id);
-                weight.push(af.flow.spec.weight);
-                paths.push(af.resources.as_slice());
-            }
-            return (flows, weight, paths);
-        }
-        // The region is bi-closed: a flow with *any* resource inside has
-        // *all* of them inside, so its flow set is both the union of the
-        // inverted-index rows and — equivalently — the flows whose first
-        // path hop lands in the region. `rows` (the summed index-row
-        // lengths, ≈ flows × path length) tells which gather is cheaper
-        // before building either: a dense region is read with one
-        // ordered walk of the owning shard(s) filtered by a region
-        // bitmap (no union, no sort — shard order *is* ascending id
-        // order), a sparse one unions the rows and probes per id.
-        let rows: usize = res_list.iter().map(|&r| self.flows_on[r].len()).sum();
-        let local = (bucket as usize) < self.active.shards.len().saturating_sub(1);
-        let mut flows: Vec<FlowId> = Vec::new();
-        let mut weight: Vec<f64> = Vec::new();
-        let mut paths: Vec<&[ResourceId]> = Vec::new();
-        let dense = if local {
-            rows >= self.active.shards[bucket as usize].len()
-        } else {
-            rows >= self.active.len()
-        };
-        if dense {
-            let mut in_region = vec![false; n_res];
-            for &r in res_list {
-                in_region[r] = true;
-            }
-            // A plain fn, not a closure: the pushed path slice must
-            // carry `self`'s lifetime, which closure inference would
-            // shorten.
-            #[allow(
-                clippy::too_many_arguments,
-                reason = "a plain fn cannot capture the output columns; see above"
-            )]
-            fn take<'a>(
-                flows: &mut Vec<FlowId>,
-                weight: &mut Vec<f64>,
-                paths: &mut Vec<&'a [ResourceId]>,
-                in_region: &[bool],
-                id: FlowId,
-                af: &'a ActiveFlow,
-            ) {
-                if af.resources.first().is_some_and(|r| in_region[r.0]) {
-                    flows.push(id);
-                    weight.push(af.flow.spec.weight);
-                    paths.push(af.resources.as_slice());
-                }
-            }
-            if local {
-                for (&id, af) in &self.active.shards[bucket as usize] {
-                    take(&mut flows, &mut weight, &mut paths, &in_region, id, af);
-                }
-            } else {
-                for (id, af) in self.active.iter_merged() {
-                    take(&mut flows, &mut weight, &mut paths, &in_region, id, af);
-                }
-            }
-            return (flows, weight, paths);
-        }
-        flows = res_list
-            .iter()
-            .flat_map(|&r| self.flows_on[r].iter().copied())
-            .collect();
-        flows.sort_unstable();
-        flows.dedup();
-        weight.reserve(flows.len());
-        paths.reserve(flows.len());
-        if local {
-            // Local region: every flow lives in this partition's shard.
-            let shard = &self.active.shards[bucket as usize];
-            for id in &flows {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "flows_on rows only hold active ids, and bucket purity pins a local region's flows to this shard"
-                )]
-                let af = shard.get(id).expect("inverted-index ids are active");
-                weight.push(af.flow.spec.weight);
-                paths.push(af.resources.as_slice());
-            }
-        } else {
-            // Spine-crossing region: probe the shards per id (at most
-            // one answers — shard key-sets are disjoint).
-            for id in &flows {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "flows_on rows only hold active ids; every active flow lives in exactly one shard"
-                )]
-                let af = self
-                    .active
-                    .shards
-                    .iter()
-                    .find_map(|s| s.get(id))
-                    .expect("inverted-index ids are active");
-                weight.push(af.flow.spec.weight);
-                paths.push(af.resources.as_slice());
+    /// Gathers one region into a [`SolveJob`]: sets the bit of every
+    /// slot on the region's resources in `marks` (a bitmap over the flow
+    /// table, clear on entry and on return), then reads the bits in slot
+    /// order straight into the job's columns. The region is bi-closed,
+    /// so the marked slots are exactly its flows, ascending by id.
+    fn gather(&self, res_list: Vec<usize>, marks: &mut [u64]) -> SolveJob {
+        for &r in &res_list {
+            for &slot in &self.flows_on[r] {
+                marks[slot as usize / 64] |= 1 << (slot % 64);
             }
         }
-        (flows, weight, paths)
+        let mut slots = Vec::new();
+        let mut weight = Vec::new();
+        let mut path_start = vec![0u32];
+        let mut path_res = Vec::new();
+        for (w, word) in marks.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let slot = (w * 64) as u32 + bits.trailing_zeros();
+                bits &= bits - 1;
+                let af = self.table.at(slot);
+                slots.push(slot);
+                weight.push(af.flow.spec.weight);
+                path_res.extend_from_slice(&af.resources);
+                path_start.push(path_res.len() as u32);
+            }
+        }
+        SolveJob {
+            n_res: self.resource_capacity.len(),
+            capacity: res_list
+                .iter()
+                .map(|&r| self.resource_capacity[r])
+                .collect(),
+            flow_count: res_list
+                .iter()
+                .map(|&r| self.flows_on[r].len() as u32)
+                .collect(),
+            res_list,
+            slots,
+            weight,
+            path_start,
+            path_res,
+        }
     }
 
     /// Recomputes rates for the regions dirtied by a change at `seeds`
@@ -1262,192 +1120,96 @@ impl FlowSimulator {
     ///
     /// Disjoint regions are solved independently — concurrently on the
     /// worker pool when there is more than one and enough flows to pay
-    /// for the threads — then merged in ascending flow-id order. Each
-    /// region's arithmetic is identical whether it is solved jointly
-    /// with the others, alone, or on another thread, so the merged
-    /// result is bit-for-bit independent of both the region split and
-    /// the worker count.
+    /// for the threads — then applied in dirty-region order, flows in
+    /// ascending id order within each. Each region's arithmetic is
+    /// identical whether it is solved jointly with the others, alone, or
+    /// on another thread, so the result is bit-for-bit independent of
+    /// both the region split and the worker count.
     fn recompute_rates(&mut self, seeds: &[ResourceId]) {
         let regions = self.dirty_regions(seeds);
-        let buckets: Vec<u32> = regions
-            .iter()
-            .map(|r| self.partitions.region_bucket(r))
-            .collect();
-        for &bucket in &buckets {
-            self.partition_solves[bucket as usize] += 1;
+        for res_list in &regions {
+            self.partition_solves[self.partitions.region_bucket(res_list) as usize] += 1;
         }
-        let (solved_regions, res_union) = {
-            let n_res_total = self.resource_capacity.len();
-            let jobs: Vec<SolveJob> = regions
+        let mut marks = vec![0u64; self.table.flows.len().div_ceil(64)];
+        let jobs: Vec<SolveJob> = regions
+            .into_iter()
+            .map(|res_list| self.gather(res_list, &mut marks))
+            .collect();
+        let total_flows: usize = jobs.iter().map(|j| j.slots.len()).sum();
+        let parallel = jobs.len() > 1 && total_flows >= PARALLEL_FLOWS_MIN;
+        let allocator = self.allocator;
+        let solved: Vec<(SolveJob, Vec<f64>)> = match &self.pool {
+            Some(pool) if parallel => pool.run_ordered(jobs, move |_, job: SolveJob| {
+                let rates = job.solve(allocator);
+                (job, rates)
+            }),
+            _ => jobs
                 .into_iter()
-                .zip(&buckets)
-                .map(|(res_list, &bucket)| {
-                    let (flows, weight, paths) = self.region_flow_table(&res_list, bucket);
-                    // Flatten the borrowed path slices into CSR form so
-                    // the job owns every byte it needs: the persistent
-                    // pool's workers cannot borrow `self`.
-                    let mut path_start = Vec::with_capacity(flows.len() + 1);
-                    path_start.push(0u32);
-                    let mut path_res: Vec<ResourceId> = Vec::new();
-                    for p in &paths {
-                        path_res.extend_from_slice(p);
-                        path_start.push(path_res.len() as u32);
-                    }
-                    let capacity = res_list
-                        .iter()
-                        .map(|&r| self.resource_capacity[r])
-                        .collect();
-                    let flow_count = res_list
-                        .iter()
-                        .map(|&r| self.flows_on[r].len() as u32)
-                        .collect();
-                    SolveJob {
-                        n_res: n_res_total,
-                        res_list,
-                        bucket,
-                        flows,
-                        weight,
-                        path_start,
-                        path_res,
-                        capacity,
-                        flow_count,
-                    }
-                })
-                .collect();
-            let total_flows: usize = jobs.iter().map(|j| j.flows.len()).sum();
-            let parallel = jobs.len() > 1 && total_flows >= PARALLEL_FLOWS_MIN;
-            let allocator = self.allocator;
-            let solved: Vec<(SolveJob, Vec<f64>)> = match &self.pool {
-                Some(pool) if parallel => pool.run_ordered(jobs, move |_, job: SolveJob| {
+                .map(|job| {
                     let rates = job.solve(allocator);
                     (job, rates)
-                }),
-                _ => jobs
-                    .into_iter()
-                    .map(|job| {
-                        let rates = job.solve(allocator);
-                        (job, rates)
-                    })
-                    .collect(),
-            };
-            // Fixed-order merge: regions stay in dirty-region order
-            // (first-seed order), flows ascending by id within each —
-            // independent of which worker solved what.
-            let mut solved_regions: Vec<(u32, Vec<FlowId>, Vec<f64>)> =
-                Vec::with_capacity(solved.len());
-            let mut res_union: Vec<usize> = Vec::new();
-            for (job, rates) in solved {
-                solved_regions.push((job.bucket, job.flows, rates));
-                res_union.extend(job.res_list);
-            }
-            (solved_regions, res_union)
+                })
+                .collect(),
         };
         // Apply the solution region by region, flows ascending within
         // each, accumulating the per-resource rate sums in the same
         // pass. Regions are resource-disjoint, so every resource
-        // receives its sharers' contributions in ascending id order —
-        // exactly the `flows_on` iteration order — and the sums stay
-        // bit-identical whether the regions were solved jointly (the
-        // full oracle), one by one, or concurrently. Dense regions walk
-        // their owning shard once instead of descending the tree per
-        // flow.
+        // receives its sharers' contributions in ascending id order and
+        // the sums stay bit-identical whether the regions were solved
+        // jointly (the full oracle), one by one, or concurrently.
         let now = self.now;
-        let n_res = self.resource_capacity.len();
-        let n_local = self.active.shards.len().saturating_sub(1);
-        let mut used_new = vec![0.0f64; n_res];
-        let completions = &mut self.completions;
-        let mut apply = |af: &mut ActiveFlow, id: FlowId, rate: f64, used_new: &mut [f64]| {
-            if af.flow.rate_bps.to_bits() != rate.to_bits() {
-                af.flow.rate_bps = rate;
-                af.epoch += 1;
-                if rate > 0.0 {
-                    let at = completion_at(now, af.flow.remaining_bits, rate);
-                    completions[af.bucket as usize].push(Reverse(CompletionEntry {
-                        at,
-                        id,
-                        epoch: af.epoch,
-                    }));
-                }
-            }
-            for r in &af.resources {
-                used_new[r.0] += af.flow.rate_bps;
-            }
-        };
-        for (bucket, flows, rates) in &solved_regions {
-            if (*bucket as usize) < n_local {
-                // Local region: all flows live in this one shard.
-                let shard = &mut self.active.shards[*bucket as usize];
-                if flows.len() * 4 >= shard.len() {
-                    let mut k = 0usize;
-                    for (&id, af) in shard.iter_mut() {
-                        while k < flows.len() && flows[k] < id {
-                            k += 1;
-                        }
-                        if k < flows.len() && flows[k] == id {
-                            apply(af, id, rates[k], &mut used_new);
-                        }
-                    }
-                } else {
-                    for (i, id) in flows.iter().enumerate() {
-                        if let Some(af) = shard.get_mut(id) {
-                            apply(af, *id, rates[i], &mut used_new);
-                        }
+        let mut used_new = vec![0.0f64; self.resource_capacity.len()];
+        for (job, rates) in &solved {
+            for (&slot, &rate) in job.slots.iter().zip(rates) {
+                let af = self.table.at_mut(slot);
+                if af.flow.rate_bps.to_bits() != rate.to_bits() {
+                    af.flow.rate_bps = rate;
+                    af.epoch += 1;
+                    if rate > 0.0 {
+                        let at = completion_at(now, af.flow.remaining_bits, rate);
+                        self.completions.push(Reverse(CompletionEntry {
+                            at,
+                            id: af.flow.id,
+                            epoch: af.epoch,
+                        }));
                     }
                 }
-            } else if flows.len() * 4 >= self.active.len() {
-                // Dense spine-crossing region: merged ordered walk.
-                let mut k = 0usize;
-                for_each_merged_mut(&mut self.active.shards, |id, af| {
-                    while k < flows.len() && flows[k] < id {
-                        k += 1;
-                    }
-                    if k < flows.len() && flows[k] == id {
-                        apply(af, id, rates[k], &mut used_new);
-                    }
-                });
-            } else {
-                // Sparse spine-crossing region: probe the shards per id.
-                for (i, id) in flows.iter().enumerate() {
-                    if let Some(af) = self.active.get_mut_any(id) {
-                        apply(af, *id, rates[i], &mut used_new);
-                    }
+                for r in &af.resources {
+                    used_new[r.0] += rate;
+                }
+            }
+            for &r in &job.res_list {
+                let used = used_new[r];
+                if used.to_bits() != self.resource_used[r].to_bits() {
+                    self.resource_used[r] = used;
+                    let cap = self.resource_capacity[r];
+                    let u = if cap > 0.0 {
+                        (used / cap).clamp(0.0, 1.0)
+                    } else {
+                        0.0
+                    };
+                    self.resource_util[r].set(now, u);
                 }
             }
         }
-        for &r in &res_union {
-            let used = used_new[r];
-            if used.to_bits() != self.resource_used[r].to_bits() {
-                self.resource_used[r] = used;
-                let cap = self.resource_capacity[r];
-                let u = if cap > 0.0 {
-                    (used / cap).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                self.resource_util[r].set(self.now, u);
-            }
-        }
-        self.maybe_compact_completions();
+        self.compact();
     }
 
-    /// Drops stale heap entries once they outnumber the live flows
-    /// across all shards — the same lazy-compaction rule the event
-    /// engine applies to its cancelled set.
-    fn maybe_compact_completions(&mut self) {
-        let total: usize = self.completions.iter().map(BinaryHeap::len).sum();
-        if total <= 2 * self.active.len() + 64 {
-            return;
+    /// Closes the flow table's holes (renumbering `flows_on`) and drops
+    /// stale completion-heap entries, each once it outnumbers the live
+    /// flows by the event engine's cancelled-set rule (`2 × live + 64`).
+    fn compact(&mut self) {
+        if let Some(new_slot) = self.table.compact() {
+            for row in &mut self.flows_on {
+                for slot in row.iter_mut() {
+                    *slot = new_slot[*slot as usize];
+                }
+            }
         }
-        for s in 0..self.completions.len() {
-            let live: Vec<Reverse<CompletionEntry>> = self.completions[s]
-                .drain()
-                .filter(|Reverse(e)| {
-                    self.active
-                        .get_in(s as u32, &e.id)
-                        .is_some_and(|af| af.epoch == e.epoch)
-                })
-                .collect();
-            self.completions[s] = BinaryHeap::from(live);
+        if self.completions.len() > 2 * self.table.live + 64 {
+            let table = &self.table;
+            self.completions
+                .retain(|Reverse(e)| table.get(e.id).is_some_and(|af| af.epoch == e.epoch));
         }
     }
 }
@@ -1959,11 +1721,14 @@ mod tests {
 
     #[test]
     fn completion_heap_compacts_stale_entries() {
-        // Repeated cancels re-rate the survivor over and over; the heap
-        // must not grow without bound.
+        // Repeated cancels re-rate the survivor over and over and leave a
+        // hole in the flow table each time: the heap and the table must
+        // not grow without bound, and the survivor must come through the
+        // table's many compactions intact.
         let (topo, a, b) = two_hosts();
         let mut s = sim(topo);
-        s.inject(FlowSpec::new(a, b, Bytes::mib(100)), SimTime::ZERO)
+        let survivor = s
+            .inject(FlowSpec::new(a, b, Bytes::mib(100)), SimTime::ZERO)
             .unwrap();
         for _ in 0..400 {
             let id = s
@@ -1971,19 +1736,69 @@ mod tests {
                 .unwrap();
             s.cancel(id);
         }
-        let heap_total: usize = s.completions.iter().map(BinaryHeap::len).sum();
+        let live = s.table.live;
         assert!(
-            heap_total <= 2 * s.active.len() + 64,
-            "heap grew to {heap_total} entries"
+            s.completions.len() <= 2 * live + 64,
+            "heap grew to {} entries",
+            s.completions.len()
         );
-        s.run_to_completion();
+        assert!(
+            s.table.flows.len() - live <= 2 * live + 64,
+            "table kept {} slots for {live} flows",
+            s.table.flows.len()
+        );
+        // Alone on its path, the survivor runs at the 100 Mbit access rate.
+        assert_eq!(s.active_rates(), vec![(survivor, 100e6)]);
+        let path = s.table.get(survivor).expect("active").flow.path.clone();
+        for l in s.topology().links() {
+            assert_eq!(
+                s.link_active_flows(l.id),
+                usize::from(path.contains(&l.id)),
+                "{:?}",
+                l.id
+            );
+        }
+        let next = s.next_completion_time().expect("the survivor has a rate");
+        assert_eq!(s.run_to_completion(), next);
         assert_eq!(s.completed().len(), 1);
     }
 
     #[test]
+    fn same_host_flow_completes_at_injection() {
+        // A flow from a host to itself crosses no fabric resource, so it
+        // completes where it is injected, like a zero-size flow, alone or
+        // inside a burst, instead of waiting forever for a rate.
+        let topo = Topology::multi_root_tree(2, 2, 2);
+        let hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
+        let mut s = sim(topo);
+        let at = SimTime::from_secs(1);
+        let id = s
+            .inject(FlowSpec::new(hosts[0], hosts[0], Bytes::mib(1)), at)
+            .unwrap();
+        assert_eq!(s.active_count(), 0);
+        assert_eq!((s.completed()[0].id, s.completed()[0].finished), (id, at));
+        let ids = s
+            .inject_batch(
+                vec![
+                    FlowSpec::new(hosts[1], hosts[2], Bytes::mib(1)),
+                    FlowSpec::new(hosts[3], hosts[3], Bytes::mib(1)),
+                ],
+                at,
+            )
+            .unwrap();
+        assert_eq!(s.active_count(), 1);
+        assert_eq!(
+            (s.completed()[1].id, s.completed()[1].finished),
+            (ids[1], at)
+        );
+        assert!(s.run_to_completion() > at);
+        assert_eq!(s.completed_total(), 3);
+    }
+
+    #[test]
     fn boundary_completions_are_harvested_exactly_once() {
-        // Two equal-sized rack-local flows live in *different* partition
-        // shards and complete at exactly the same instant — the partition
+        // Two equal-sized rack-local flows live in *different* partitions
+        // and complete at exactly the same instant — the partition
         // boundary epoch. Advancing precisely to that instant (and then
         // again to the same instant) must record each completion exactly
         // once: the harvest removes a flow from the active set before its

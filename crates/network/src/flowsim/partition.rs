@@ -23,11 +23,11 @@
 //!    partition containing both endpoints, or by the *shared spine*
 //!    bucket when either endpoint is a spine device.
 //!
-//! The map is consulted by the flow simulator to shard its completion
-//! heap and to attribute each dirty region to a partition
-//! (`network_partition_solves_total` telemetry); disjoint regions are
-//! solved concurrently on [`SolverPool`], the deterministic ordered
-//! worker pool. See DESIGN.md §4c for the bit-for-bit argument.
+//! The flow simulator consults the map to attribute each dirty region
+//! to a partition (the `network_partition_solves_total` telemetry);
+//! disjoint regions are solved concurrently on [`SolverPool`], the
+//! deterministic ordered worker pool. See DESIGN.md §4c for the
+//! bit-for-bit argument.
 
 use crate::topology::{DeviceId, DeviceKind, Topology};
 use std::collections::VecDeque;
@@ -66,8 +66,6 @@ pub struct PartitionMap {
     /// Partition per resource (2 per link); `SPINE` for spine-crossing
     /// directions.
     resource_part: Vec<u32>,
-    /// Resource count per local partition, plus the spine bucket last.
-    resources_per: Vec<u32>,
 }
 
 impl PartitionMap {
@@ -111,26 +109,18 @@ impl PartitionMap {
             }
             n_local += 1;
         }
-        let mut resources_per = vec![0u32; n_local as usize + 1];
         let mut resource_part = Vec::with_capacity(topo.links().len() * 2);
         for l in topo.links() {
             let (pa, pb) = (device_part[l.a.0 as usize], device_part[l.b.0 as usize]);
             let owner = if pa == pb { pa } else { SPINE };
-            let bucket = if owner == SPINE {
-                n_local as usize
-            } else {
-                owner as usize
-            };
             // Both directions of a link share an owner.
             resource_part.push(owner);
             resource_part.push(owner);
-            resources_per[bucket] += 2;
         }
         PartitionMap {
             n_local,
             device_part,
             resource_part,
-            resources_per,
         }
     }
 
@@ -139,8 +129,9 @@ impl PartitionMap {
         self.n_local as usize
     }
 
-    /// Number of completion-heap shards: every local partition plus the
-    /// shared-spine bucket.
+    /// Number of partition buckets: every local partition plus the
+    /// shared-spine bucket, one `network_partition_solves_total` series
+    /// each.
     pub fn shard_count(&self) -> usize {
         self.n_local as usize + 1
     }
@@ -183,12 +174,6 @@ impl PartitionMap {
             }
         }
         owner.unwrap_or(self.n_local)
-    }
-
-    /// Resources owned by `bucket` (a local partition id or
-    /// [`PartitionMap::shared_id`]).
-    pub fn resources_in(&self, bucket: u32) -> usize {
-        self.resources_per[bucket as usize] as usize
     }
 
     /// Human-readable bucket label: `"p3"` for local partitions,
@@ -463,14 +448,12 @@ mod tests {
                 assert_eq!(map.device_partition(d.id), None);
             }
         }
-        // Every resource bucket is either a pod or the shared spine, and
-        // the buckets tile the resource set exactly.
-        let total: usize = (0..=map.shared_id()).map(|b| map.resources_in(b)).sum();
-        assert_eq!(total, topo.links().len() * 2);
-        assert!(
-            map.resources_in(map.shared_id()) > 0,
-            "core links are shared"
-        );
+        // Every resource bucket is either a pod or the shared spine.
+        let buckets: Vec<u32> = (0..topo.links().len() * 2)
+            .map(|r| map.resource_bucket(r))
+            .collect();
+        assert!(buckets.iter().all(|&b| b <= map.shared_id()));
+        assert!(buckets.contains(&map.shared_id()), "core links are shared");
     }
 
     #[test]
@@ -513,8 +496,7 @@ mod tests {
         let map = PartitionMap::derive(&topo);
         assert_eq!(map.partition_count(), 1);
         assert_eq!(map.device_partition(a), Some(0));
-        assert_eq!(map.resource_bucket(0), 0);
-        assert_eq!(map.resources_in(map.shared_id()), 0);
+        assert_eq!((map.resource_bucket(0), map.resource_bucket(1)), (0, 0));
     }
 
     #[test]

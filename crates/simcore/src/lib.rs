@@ -58,7 +58,7 @@ pub mod units;
 
 pub use edist::EDist;
 pub use engine::{Engine, EventContext, EventId};
-pub use metrics::{Counter, Histogram, HistogramSummary, MetricSet, TimeWeightedGauge};
+pub use metrics::{Counter, Histogram, HistogramSummary, TimeWeightedGauge};
 pub use rng::SeedFactory;
 pub use spans::{CriticalPath, PathStep, SpanContext, SpanForest, SpanId, SpanRecord};
 pub use telemetry::{MetricsRegistry, MetricsSnapshot, TelemetrySink, TraceEvent, Tracer};

@@ -10,13 +10,9 @@
 //!   0% for 9 s must average 10%, regardless of how many samples were taken.
 //! * [`Histogram`] — distribution of observations (request latency, flow
 //!   completion time) with quantile queries.
-//!
-//! [`MetricSet`] is a string-keyed bag of all three, used by subsystems that
-//! expose many metrics at once.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A monotonically increasing counter.
@@ -374,88 +370,6 @@ pub struct HistogramSummary {
     pub stddev: f64,
 }
 
-/// A string-keyed bag of counters, gauges and histograms.
-///
-/// Keys use `BTreeMap` so that iteration (and therefore report output) is
-/// deterministic.
-///
-/// # Example
-///
-/// ```
-/// use picloud_simcore::{MetricSet, SimTime};
-///
-/// let mut m = MetricSet::new(SimTime::ZERO);
-/// m.counter("requests").add(10);
-/// m.histogram("latency_ms").observe(3.5);
-/// m.gauge("cpu").set(SimTime::from_secs(1), 0.7);
-/// assert_eq!(m.counter("requests").value(), 10);
-/// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MetricSet {
-    start: SimTime,
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, TimeWeightedGauge>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricSet {
-    /// Creates an empty set whose gauges start observing at `start`.
-    pub fn new(start: SimTime) -> Self {
-        MetricSet {
-            start,
-            ..MetricSet::default()
-        }
-    }
-
-    /// The counter named `name`, created at zero on first use.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_owned()).or_default()
-    }
-
-    /// The gauge named `name`, created holding `0.0` on first use.
-    pub fn gauge(&mut self, name: &str) -> &mut TimeWeightedGauge {
-        let start = self.start;
-        self.gauges
-            .entry(name.to_owned())
-            .or_insert_with(|| TimeWeightedGauge::new(start, 0.0))
-    }
-
-    /// The histogram named `name`, created empty on first use.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_owned()).or_default()
-    }
-
-    /// Read-only lookup of a counter.
-    pub fn get_counter(&self, name: &str) -> Option<&Counter> {
-        self.counters.get(name)
-    }
-
-    /// Read-only lookup of a gauge.
-    pub fn get_gauge(&self, name: &str) -> Option<&TimeWeightedGauge> {
-        self.gauges.get(name)
-    }
-
-    /// Read-only lookup of a histogram.
-    pub fn get_histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterates counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, &Counter)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterates gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, &TimeWeightedGauge)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterates histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,14 +492,5 @@ mod tests {
         assert_eq!(s.p99, h.quantile(0.99).unwrap());
         assert_eq!(s.mean, h.mean().unwrap());
         assert_eq!(s.stddev, h.stddev().unwrap());
-    }
-
-    #[test]
-    fn metric_set_iteration_is_sorted() {
-        let mut m = MetricSet::new(SimTime::ZERO);
-        m.counter("zeta").increment();
-        m.counter("alpha").increment();
-        let names: Vec<&str> = m.counters().map(|(n, _)| n).collect();
-        assert_eq!(names, ["alpha", "zeta"]);
     }
 }

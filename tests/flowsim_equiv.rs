@@ -407,7 +407,9 @@ mod merge_order {
 #[test]
 fn incremental_solver_matches_oracle_under_sustained_churn() {
     // One long-lived fabric with continuous arrivals and departures: the
-    // dirty-region closure is exercised against deep sharing chains.
+    // dirty-region closure is exercised against deep sharing chains, and
+    // the 1,600 retired flows make the flow table close its holes (and
+    // renumber its inverted index) about twenty times.
     let mut inc = FlowSimulator::new(
         Topology::multi_root_tree(4, 14, 2),
         RoutingPolicy::Ecmp { max_paths: 4 },
@@ -421,7 +423,7 @@ fn incremental_solver_matches_oracle_under_sustained_churn() {
     full.set_recompute_mode(RecomputeMode::Full);
     let hosts: Vec<DeviceId> = inc.topology().hosts().map(|h| h.id).collect();
     let mut rng = ChaCha12Rng::seed_from_u64(777);
-    for round in 0..40 {
+    for round in 0..400 {
         let specs: Vec<FlowSpec> = (0..4).map(|_| random_spec(&mut rng, &hosts)).collect();
         let at = inc.now();
         inc.inject_batch(specs.clone(), at).expect("connected");

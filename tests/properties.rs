@@ -111,19 +111,15 @@ proptest! {
         let topo = Topology::multi_root_tree(4, 14, 2);
         let hosts: Vec<_> = topo.hosts().map(|h| h.id).collect();
         let mut sim = FlowSimulator::new(topo, RoutingPolicy::default(), RateAllocator::MaxMin);
-        let mut injected = 0usize;
         let mut flows = flows;
         flows.sort_by_key(|f| f.3);
+        let injected = flows.len();
         for (src, dst, kib, at_ms) in flows {
-            if src == dst {
-                continue;
-            }
             sim.inject(
                 FlowSpec::new(hosts[src], hosts[dst], Bytes::kib(kib)),
                 SimTime::ZERO + SimDuration::from_millis(at_ms),
             )
             .expect("connected fabric");
-            injected += 1;
         }
         sim.run_to_completion();
         prop_assert_eq!(sim.completed().len(), injected);
