@@ -199,6 +199,49 @@ struct Deployment {
     req: PlacementRequest,
 }
 
+/// The failure mask's consequences for link telemetry, derived once per
+/// change of the mask's failed links instead of once per event.
+struct MaskView {
+    /// Links down under the mask.
+    dead: BTreeSet<LinkId>,
+    /// Each node's heartbeat path to the first aggregation root, in node
+    /// order (`None` where the mask cuts the node off). Only the link
+    /// gauges read it, so it is `None` when telemetry is off, and also
+    /// when the fabric has no aggregation layer.
+    heartbeat_paths: Option<Vec<Option<Vec<LinkId>>>>,
+    /// Host-pair reachability of the degraded fabric.
+    reachability: f64,
+}
+
+impl MaskView {
+    /// Derives the view of `mask` over `cloud`'s fabric, with heartbeat
+    /// paths only when `with_paths`.
+    fn derive(cloud: &PiCloud, mask: &FailureMask, with_paths: bool) -> MaskView {
+        let topo = cloud.topology();
+        let dead: BTreeSet<LinkId> = topo
+            .links()
+            .iter()
+            .filter(|l| !mask.link_up(topo, l.id))
+            .map(|l| l.id)
+            .collect();
+        let root = picloud_network::failure::aggregation_devices(topo)
+            .first()
+            .copied();
+        let heartbeat_paths = root.filter(|_| with_paths).map(|root| {
+            cloud
+                .node_ids()
+                .map(|node| shortest_path_avoiding(topo, cloud.device_of(node), root, &dead))
+                .collect()
+        });
+        let reachability = ConnectivityReport::measure(&mask.apply(topo).topology).reachability();
+        MaskView {
+            dead,
+            heartbeat_paths,
+            reachability,
+        }
+    }
+}
+
 /// The engine world: the cloud plus the fault and control planes.
 pub(crate) struct RecoveryWorld {
     cloud: PiCloud,
@@ -207,6 +250,9 @@ pub(crate) struct RecoveryWorld {
     view: ClusterView,
     policy: Box<dyn PlacementPolicy>,
     mask: FailureMask,
+    /// What `mask` means for link telemetry; `None` after the mask's
+    /// failed links change, until the next reader re-derives it.
+    mask_view: Option<MaskView>,
     ledger: OutageLedger,
     domains: DomainTree,
     deployments: BTreeMap<NodeId, Vec<Deployment>>,
@@ -301,6 +347,7 @@ impl RecoveryWorld {
         *count += 1;
         if *count == 1 {
             self.mask.fail_link(link);
+            self.mask_view = None;
         }
     }
 
@@ -313,6 +360,7 @@ impl RecoveryWorld {
             if *count == 0 {
                 self.link_faults.remove(&link);
                 self.mask.repair_link(link);
+                self.mask_view = None;
             }
         }
     }
@@ -348,39 +396,45 @@ impl RecoveryWorld {
         );
     }
 
+    /// Re-derives the mask view if the mask changed since it was built.
+    fn refresh_mask_view(&mut self) {
+        if self.mask_view.is_none() {
+            self.mask_view = Some(MaskView::derive(
+                &self.cloud,
+                &self.mask,
+                self.telem.is_enabled(),
+            ));
+        }
+    }
+
     /// Re-derives per-link management-plane utilisation under the current
     /// failure mask: every alive host answers one heartbeat per detector
     /// interval over its surviving shortest path to the aggregation layer,
     /// and each link's `network_link_utilisation` gauge is that traffic
     /// over its capacity. Recomputed only when the fabric or fleet state
-    /// changes, so the cost is per-event, not per-sweep.
+    /// changes, so the cost is per-event, not per-sweep; the paths and the
+    /// reachability come from the mask view, so they are only recomputed
+    /// when a link fails or is repaired.
     fn record_link_utilisation(&mut self, now: SimTime) {
         if !self.telem.is_enabled() {
             return;
         }
         /// Request + reply bytes one heartbeat costs a link it crosses.
         const HEARTBEAT_BYTES: f64 = 512.0;
-        let topo = self.cloud.topology();
-        let roots = picloud_network::failure::aggregation_devices(topo);
-        let Some(&root) = roots.first() else {
+        self.refresh_mask_view();
+        let Some(view) = &self.mask_view else {
             return;
         };
-        let dead: BTreeSet<LinkId> = topo
-            .links()
-            .iter()
-            .filter(|l| !self.mask.link_up(topo, l.id))
-            .map(|l| l.id)
-            .collect();
+        let Some(paths) = &view.heartbeat_paths else {
+            return;
+        };
         let mut bytes_per_link: BTreeMap<LinkId, f64> = BTreeMap::new();
-        for node in self.cloud.node_ids().collect::<Vec<_>>() {
+        for (node, path) in self.cloud.node_ids().zip(paths) {
             if self.node_down(node) {
                 continue;
             }
-            let dev = self.cloud.device_of(node);
-            if let Some(path) = shortest_path_avoiding(self.cloud.topology(), dev, root, &dead) {
-                for link in path {
-                    *bytes_per_link.entry(link).or_insert(0.0) += HEARTBEAT_BYTES;
-                }
+            for &link in path.iter().flatten() {
+                *bytes_per_link.entry(link).or_insert(0.0) += HEARTBEAT_BYTES;
             }
         }
         let interval = self.config.detector.heartbeat_interval.as_secs_f64();
@@ -397,14 +451,12 @@ impl RecoveryWorld {
             self.telem
                 .registry
                 .gauge("network_link_up", &labels)
-                .set(now, f64::from(u8::from(!dead.contains(&l.id))));
+                .set(now, f64::from(u8::from(!view.dead.contains(&l.id))));
         }
-        let degraded = self.mask.apply(self.cloud.topology());
-        let reach = ConnectivityReport::measure(&degraded.topology).reachability();
         self.telem
             .registry
             .gauge("network_reachability", &[])
-            .set(now, reach);
+            .set(now, view.reachability);
     }
 
     /// Re-records the fleet gauges after containers move or outage
@@ -770,10 +822,12 @@ impl RecoveryWorld {
     /// Re-measures fabric reachability under the current mask and keeps
     /// the worst value seen.
     fn note_reachability(&mut self) {
-        let degraded = self.mask.apply(self.cloud.topology());
-        let r = ConnectivityReport::measure(&degraded.topology).reachability();
-        if r < self.min_reachability {
-            self.min_reachability = r;
+        self.refresh_mask_view();
+        let Some(view) = &self.mask_view else {
+            return;
+        };
+        if view.reachability < self.min_reachability {
+            self.min_reachability = view.reachability;
         }
     }
 
@@ -1479,6 +1533,7 @@ fn run_recovery_inner(
         view,
         policy: config.policy.build(policy_seed),
         mask: FailureMask::none(),
+        mask_view: None,
         ledger: OutageLedger::new(config.request_rate_hz),
         domains,
         deployments,

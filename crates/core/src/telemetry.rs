@@ -28,7 +28,7 @@
 use crate::experiments::{self, Collect};
 use picloud_simcore::telemetry::slo::{AlertPolicy, AlertTimeline, SloPolicy, SloReport};
 use picloud_simcore::telemetry::tsdb::{QueryFn, ScrapeConfig, TimeSeriesDb};
-use picloud_simcore::telemetry::{MetricsSnapshot, TelemetrySink};
+use picloud_simcore::telemetry::{json_escape, MetricsSnapshot, TelemetrySink};
 use picloud_simcore::{SimDuration, SimTime, SpanForest};
 
 /// The telemetry one experiment run produced: a labeled metrics registry
@@ -181,13 +181,17 @@ impl ExperimentTelemetry {
         for series in db.series_matching(metric, labels) {
             for p in db.eval_range(&series, f, window, step) {
                 out.push_str("{\"metric\":\"");
-                out.push_str(&series.name);
+                json_escape(&series.name, &mut out);
                 out.push_str("\",\"labels\":{");
                 for (i, (k, v)) in series.labels.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&format!("\"{k}\":\"{}\"", v.replace('"', "\\\"")));
+                    out.push('"');
+                    json_escape(k, &mut out);
+                    out.push_str("\":\"");
+                    json_escape(v, &mut out);
+                    out.push('"');
                 }
                 out.push_str(&format!(
                     "}},\"fn\":\"{}\",\"window_secs\":{},\"t_ns\":{}",
@@ -367,6 +371,53 @@ mod tests {
             staleness.verdict,
             picloud_simcore::telemetry::slo::Verdict::Pass
         );
+    }
+
+    #[test]
+    fn query_jsonl_escapes_label_values_like_metrics_jsonl() {
+        let label = "x\"y\\z\nw";
+        let mut sink = TelemetrySink::recording_with_tsdb(
+            SimTime::ZERO,
+            ScrapeConfig::every(SimDuration::from_secs(1)),
+        );
+        for s in 0..3u64 {
+            let now = SimTime::from_secs(s);
+            sink.registry
+                .gauge("odd_label", &[("tag", label)])
+                .set(now, s as f64);
+            sink.scrape_now(now);
+        }
+        let t = ExperimentTelemetry {
+            id: "escape",
+            seed: 0,
+            taken_at: SimTime::from_secs(2),
+            sink,
+        };
+        let jsonl = t
+            .query_jsonl(
+                "odd_label",
+                &[],
+                QueryFn::MaxOverTime,
+                SimDuration::from_secs(1),
+                None,
+            )
+            .unwrap();
+        assert_eq!(jsonl.lines().count(), 3, "one line per instant:\n{jsonl}");
+        for line in jsonl.lines() {
+            let row: serde::Content = serde_json::from_str(line)
+                .unwrap_or_else(|e| panic!("invalid JSON line {line:?}: {e}"));
+            let tag = row.get("labels").and_then(|l| l.get("tag"));
+            assert_eq!(tag.and_then(|v| v.as_str()), Some(label));
+        }
+        // The snapshot export of the same series round-trips the label too.
+        let metrics = t.metrics_jsonl();
+        let row = metrics
+            .lines()
+            .find(|l| l.contains("\"name\":\"odd_label\""))
+            .unwrap();
+        let row: serde::Content = serde_json::from_str(row).unwrap();
+        let tag = row.get("labels").and_then(|l| l.get("tag"));
+        assert_eq!(tag.and_then(|v| v.as_str()), Some(label));
     }
 
     #[test]

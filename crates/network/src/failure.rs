@@ -9,7 +9,6 @@
 //! [`DegradedTopology`] materialises the surviving fabric for routing and
 //! flow simulation.
 
-use crate::graph;
 use crate::topology::{DeviceId, DeviceKind, LinkId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -153,10 +152,12 @@ impl ConnectivityReport {
         }
     }
 
-    /// Measures a fabric.
+    /// Measures a fabric. Two hosts reach each other exactly when they
+    /// share a connected component, so one traversal of the components
+    /// counts the reachable ordered pairs as Σ h·(h−1) over components
+    /// holding h hosts.
     pub fn measure(topo: &Topology) -> ConnectivityReport {
-        let hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
-        let n = hosts.len();
+        let n = topo.hosts().count();
         if n < 2 {
             return ConnectivityReport {
                 hosts_up: n,
@@ -164,13 +165,28 @@ impl ConnectivityReport {
                 total_pairs: 0,
             };
         }
+        let mut seen = vec![false; topo.devices().len()];
+        let mut stack = Vec::new();
         let mut reachable = 0usize;
-        for &src in &hosts {
-            let dist = graph::bfs_distances(topo, src);
-            reachable += hosts
-                .iter()
-                .filter(|&&h| h != src && dist[h.index()] != u32::MAX)
-                .count();
+        for host in topo.hosts() {
+            if seen[host.id.index()] {
+                continue;
+            }
+            seen[host.id.index()] = true;
+            stack.push(host.id);
+            let mut hosts_in_component = 0usize;
+            while let Some(d) = stack.pop() {
+                if topo.device(d).kind.is_host() {
+                    hosts_in_component += 1;
+                }
+                for &(next, _) in topo.neighbours(d) {
+                    if !seen[next.index()] {
+                        seen[next.index()] = true;
+                        stack.push(next);
+                    }
+                }
+            }
+            reachable += hosts_in_component * (hosts_in_component - 1);
         }
         ConnectivityReport {
             hosts_up: n,

@@ -58,8 +58,10 @@ fn valid_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Escapes `s` into `out` as the body of a JSON string literal.
-fn json_escape(s: &str, out: &mut String) {
+/// Escapes `s` into `out` as the body of a JSON string literal. Every
+/// JSONL exporter renders names and label values through this one
+/// escaper.
+pub fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

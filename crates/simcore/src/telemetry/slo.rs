@@ -398,23 +398,20 @@ impl SeriesSelector {
         }
     }
 
-    /// Sum of `avg_over_time` over all matching series in
-    /// `[at − window, at]`; `None` when nothing matched or no window had
-    /// samples.
-    fn avg(&self, db: &TimeSeriesDb, window: SimDuration, at: SimTime) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut any = false;
+    /// At every scrape instant of `db`, the sum of `avg_over_time` over
+    /// all matching series in `[at − window, at]`, added in series order;
+    /// `None` where nothing matched or no window had samples.
+    fn avgs(&self, db: &TimeSeriesDb, window: SimDuration) -> Vec<Option<f64>> {
+        let mut sums: Vec<Option<f64>> = vec![None; db.scrape_times().len()];
         for key in db.series_matching(&self.metric, &self.labels) {
-            if let Some(v) = db.eval_at(&key, QueryFn::AvgOverTime, window, at) {
-                sum += v;
-                any = true;
+            let points = db.eval_range(&key, QueryFn::AvgOverTime, window, None);
+            for (sum, point) in sums.iter_mut().zip(points) {
+                if let Some(v) = point.value {
+                    *sum = Some(sum.unwrap_or(0.0) + v);
+                }
             }
         }
-        if any {
-            Some(sum)
-        } else {
-            None
-        }
+        sums
     }
 }
 
@@ -472,23 +469,28 @@ pub struct BurnRateAlert {
 }
 
 impl BurnRateAlert {
-    /// Burn rate over one trailing window at `at`, or `None` without data.
-    pub fn burn(&self, db: &TimeSeriesDb, window: SimDuration, at: SimTime) -> Option<f64> {
+    /// Burn rate over the trailing `window` at every scrape instant of
+    /// `db`, oldest first; `None` where there is no data.
+    pub fn burns(&self, db: &TimeSeriesDb, window: SimDuration) -> Vec<Option<f64>> {
         if self.budget <= 0.0 {
-            return None;
+            return vec![None; db.scrape_times().len()];
         }
-        let num = self.numerator.avg(db, window, at)?;
-        let sli = match &self.denominator {
-            Some(den) => {
-                let d = den.avg(db, window, at)?;
-                if d <= 0.0 {
-                    return None;
+        let nums = self.numerator.avgs(db, window);
+        let dens = self.denominator.as_ref().map(|den| den.avgs(db, window));
+        nums.into_iter()
+            .enumerate()
+            .map(|(i, num)| {
+                let mut sli = num?;
+                if let Some(dens) = &dens {
+                    let d = dens.get(i).copied().flatten()?;
+                    if d <= 0.0 {
+                        return None;
+                    }
+                    sli /= d;
                 }
-                num / d
-            }
-            None => num,
-        };
-        Some(sli / self.budget)
+                Some(sli / self.budget)
+            })
+            .collect()
     }
 }
 
@@ -590,16 +592,30 @@ impl AlertPolicy {
     }
 
     /// Walks every alert's state machine over `db`'s scrape timeline and
-    /// returns the transitions, ordered by `(time, policy order)`. Pure
-    /// and deterministic: same store, same timeline, byte for byte.
+    /// returns the transitions, ordered by `(time, policy order)`. Each
+    /// alert's long- and short-window burns are computed for the whole
+    /// timeline up front, one range query per matched series. Pure and
+    /// deterministic: same store, same timeline, byte for byte.
     pub fn evaluate(&self, db: &TimeSeriesDb) -> AlertTimeline {
         let mut transitions = Vec::new();
         let times: Vec<SimTime> = db.scrape_times().to_vec();
+        let burns: Vec<_> = self
+            .alerts
+            .iter()
+            .map(|alert| {
+                (
+                    alert.burns(db, alert.long_window),
+                    alert.burns(db, alert.short_window),
+                )
+            })
+            .collect();
         let mut states: Vec<Option<(AlertState, SimTime)>> = vec![None; self.alerts.len()];
-        for &now in &times {
-            for (i, alert) in self.alerts.iter().enumerate() {
-                let burn_long = alert.burn(db, alert.long_window, now);
-                let burn_short = alert.burn(db, alert.short_window, now);
+        for (k, &now) in times.iter().enumerate() {
+            for ((alert, state), (long, short)) in
+                self.alerts.iter().zip(states.iter_mut()).zip(&burns)
+            {
+                let burn_long = long.get(k).copied().flatten();
+                let burn_short = short.get(k).copied().flatten();
                 let holds = matches!((burn_long, burn_short), (Some(l), Some(s))
                     if l >= alert.burn_threshold && s >= alert.burn_threshold);
                 let mut push = |state: AlertState| {
@@ -612,7 +628,7 @@ impl AlertPolicy {
                         burn_short,
                     });
                 };
-                states[i] = match (states[i], holds) {
+                *state = match (*state, holds) {
                     (None | Some((AlertState::Resolved | AlertState::Cancelled, _)), true) => {
                         push(AlertState::Pending);
                         if alert.for_duration.is_zero() {

@@ -29,9 +29,10 @@
 //!
 //! # Determinism
 //!
-//! Everything here is a pure function of the scrape sequence: `BTreeMap`
-//! keyed streams, no wall clock, no ambient randomness. Two same-seed runs
-//! produce byte-identical query and alert output.
+//! Everything here is a pure function of the scrape sequence: series are
+//! kept in one `Vec` sorted by key, the order the registry's maps iterate
+//! in, and there is no wall clock and no ambient randomness. Two same-seed
+//! runs produce byte-identical query and alert output.
 //!
 //! # Example
 //!
@@ -62,7 +63,7 @@
 
 use super::{MetricsRegistry, SeriesKey};
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// How often the scrape loop samples the registry.
@@ -128,15 +129,50 @@ impl SampleField {
             SampleField::Sum => "sum",
         }
     }
+
+    /// The series kind that stores this field, and the field's index
+    /// among that kind's streams ([`SeriesKind::fields`]).
+    fn slot(self) -> (SeriesKind, usize) {
+        match self {
+            SampleField::Total => (SeriesKind::Counter, 0),
+            SampleField::Value => (SeriesKind::Gauge, 0),
+            SampleField::Integral => (SeriesKind::Gauge, 1),
+            SampleField::Count => (SeriesKind::Histogram, 0),
+            SampleField::Sum => (SeriesKind::Histogram, 1),
+        }
+    }
+
+    /// How the field's payloads are encoded.
+    fn sample_kind(self) -> SampleKind {
+        match self {
+            SampleField::Total | SampleField::Count => SampleKind::U64,
+            SampleField::Value | SampleField::Integral | SampleField::Sum => SampleKind::F64,
+        }
+    }
 }
 
-/// The identity of one stored stream: series plus sampled facet.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct StreamKey {
-    /// The registry series the stream samples.
-    pub series: SeriesKey,
-    /// Which facet of the series it stores.
-    pub field: SampleField,
+/// Which registry map a stored series was scraped from. Declared in the
+/// order of each kind's first field (`Total` < `Value` < `Count`), so the
+/// store's `(key, kind)` order is the `(key, field)` order of its streams.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum SeriesKind {
+    /// Stores `Total`.
+    Counter,
+    /// Stores `Value` and `Integral`.
+    Gauge,
+    /// Stores `Count` and `Sum`.
+    Histogram,
+}
+
+impl SeriesKind {
+    /// The fields a series of this kind stores, in stream order.
+    fn fields(self) -> &'static [SampleField] {
+        match self {
+            SeriesKind::Counter => &[SampleField::Total],
+            SeriesKind::Gauge => &[SampleField::Value, SampleField::Integral],
+            SeriesKind::Histogram => &[SampleField::Count, SampleField::Sum],
+        }
+    }
 }
 
 /// How a stream's 64-bit payloads are interpreted and delta-encoded.
@@ -146,6 +182,16 @@ enum SampleKind {
     U64,
     /// Payload is `f64` bits; deltas are XOR-with-previous, varint encoded.
     F64,
+}
+
+impl SampleKind {
+    /// A payload as the float the query functions compute with.
+    fn as_f64(self, bits: u64) -> f64 {
+        match self {
+            SampleKind::U64 => bits as f64,
+            SampleKind::F64 => f64::from_bits(bits),
+        }
+    }
 }
 
 /// Appends `v` to `out` as an LEB128 varint (7 bits per byte, high bit =
@@ -357,8 +403,25 @@ pub struct QueryPoint {
     pub value: Option<f64>,
 }
 
-/// The in-memory time-series store: one delta-encoded `Stream` per
-/// `(series, facet)`, plus the shared scrape timeline.
+/// One scraped registry series: its key, the registry map it came from,
+/// and that kind's streams in [`SeriesKind::fields`] order.
+#[derive(Debug, Clone, PartialEq)]
+struct Series {
+    key: SeriesKey,
+    kind: SeriesKind,
+    streams: Vec<Stream>,
+}
+
+impl Series {
+    /// Where this series sorts against `(key, kind)`: the store's order.
+    fn cmp_to(&self, key: &SeriesKey, kind: SeriesKind) -> Ordering {
+        self.key.cmp(key).then(self.kind.cmp(&kind))
+    }
+}
+
+/// The in-memory time-series store: every scraped series in
+/// `(key, kind)` order, each holding its kind's delta-encoded streams,
+/// plus the shared scrape timeline.
 ///
 /// Populate it by calling [`TimeSeriesDb::record`] (or letting a
 /// [`TelemetrySink`](super::TelemetrySink) drive it via its scrape hooks),
@@ -373,7 +436,8 @@ pub struct TimeSeriesDb {
     next_due: SimTime,
     /// Every instant a scrape happened, ascending, deduplicated.
     times: Vec<SimTime>,
-    streams: BTreeMap<StreamKey, Stream>,
+    /// Every series with at least one sample, ascending by `(key, kind)`.
+    series: Vec<Series>,
     samples: u64,
 }
 
@@ -389,7 +453,7 @@ impl TimeSeriesDb {
             interval: config.interval,
             next_due: epoch,
             times: Vec::new(),
-            streams: BTreeMap::new(),
+            series: Vec::new(),
             samples: 0,
         }
     }
@@ -417,49 +481,42 @@ impl TimeSeriesDb {
     /// two calls overwrite their final sample, so a forced boundary scrape
     /// (run start / end) composes with a periodic grid scrape that landed
     /// on the same tick — the last observation wins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` is before the previous scrape: queries
+    /// binary-search each stream's timestamps, so they must ascend.
     pub fn record(&mut self, registry: &MetricsRegistry, now: SimTime) {
-        let fresh_instant = self.times.last() != Some(&now);
-        debug_assert!(
+        assert!(
             self.times.last().is_none_or(|&t| t <= now),
             "scrape time moved backwards"
         );
         let t_ns = now.as_nanos();
-        for (key, c) in registry.counters() {
-            self.push_sample(key, SampleField::Total, SampleKind::U64, t_ns, c.value());
-        }
-        for (key, g) in registry.gauges() {
-            self.push_sample(
-                key,
-                SampleField::Value,
-                SampleKind::F64,
-                t_ns,
-                g.value().to_bits(),
-            );
-            self.push_sample(
-                key,
-                SampleField::Integral,
-                SampleKind::F64,
-                t_ns,
-                g.integral(now).to_bits(),
-            );
-        }
-        for (key, h) in registry.histograms() {
-            self.push_sample(
-                key,
-                SampleField::Count,
-                SampleKind::U64,
-                t_ns,
-                h.len() as u64,
-            );
-            self.push_sample(
-                key,
-                SampleField::Sum,
-                SampleKind::F64,
-                t_ns,
-                h.sum().to_bits(),
-            );
-        }
-        if fresh_instant {
+        let mut fresh = Vec::new();
+        self.scrape(
+            SeriesKind::Counter,
+            t_ns,
+            &mut fresh,
+            registry.counters().map(|(key, c)| (key, [c.value()])),
+        );
+        self.scrape(
+            SeriesKind::Gauge,
+            t_ns,
+            &mut fresh,
+            registry
+                .gauges()
+                .map(|(key, g)| (key, [g.value().to_bits(), g.integral(now).to_bits()])),
+        );
+        self.scrape(
+            SeriesKind::Histogram,
+            t_ns,
+            &mut fresh,
+            registry
+                .histograms()
+                .map(|(key, h)| (key, [h.len() as u64, h.sum().to_bits()])),
+        );
+        self.insert(fresh);
+        if self.times.last() != Some(&now) {
             self.times.push(now);
         }
         while self.next_due <= now {
@@ -467,25 +524,72 @@ impl TimeSeriesDb {
         }
     }
 
-    fn push_sample(
+    /// Records one registry map's payloads (`bits`, one per field of
+    /// `kind`) at `t_ns`. The map iterates in key order, so a forward
+    /// cursor over the stored series finds each match by comparison
+    /// alone. Series not stored yet are pushed to `fresh` with the index
+    /// they belong before.
+    fn scrape<'r, const N: usize>(
         &mut self,
-        series: &SeriesKey,
-        field: SampleField,
-        kind: SampleKind,
+        kind: SeriesKind,
         t_ns: u64,
-        bits: u64,
+        fresh: &mut Vec<(usize, Series)>,
+        entries: impl Iterator<Item = (&'r SeriesKey, [u64; N])>,
     ) {
-        let appended = self
-            .streams
-            .entry(StreamKey {
-                series: series.clone(),
-                field,
-            })
-            .or_insert_with(|| Stream::new(kind))
-            .record_at(t_ns, bits);
-        if appended {
-            self.samples += 1;
+        let mut cursor = 0usize;
+        for (key, bits) in entries {
+            let stored = loop {
+                match self.series.get(cursor).map(|s| s.cmp_to(key, kind)) {
+                    Some(Ordering::Less) => cursor += 1,
+                    Some(Ordering::Equal) => break self.series.get_mut(cursor),
+                    Some(Ordering::Greater) | None => break None,
+                }
+            };
+            if let Some(series) = stored {
+                for (stream, bits) in series.streams.iter_mut().zip(bits) {
+                    self.samples += u64::from(stream.record_at(t_ns, bits));
+                }
+                cursor += 1;
+            } else {
+                let streams = kind
+                    .fields()
+                    .iter()
+                    .zip(bits)
+                    .map(|(field, bits)| {
+                        let mut stream = Stream::new(field.sample_kind());
+                        stream.push(t_ns, bits);
+                        stream
+                    })
+                    .collect();
+                self.samples += N as u64;
+                let series = Series {
+                    key: key.clone(),
+                    kind,
+                    streams,
+                };
+                fresh.push((cursor, series));
+            }
         }
+    }
+
+    /// Places one scrape's newly seen series in a single merge pass: each
+    /// stored series moves once, however many arrive.
+    fn insert(&mut self, mut fresh: Vec<(usize, Series)>) {
+        if fresh.is_empty() {
+            return;
+        }
+        // In `(key, kind)` order the insertion indices are non-decreasing.
+        fresh.sort_by(|(_, a), (_, b)| a.cmp_to(&b.key, b.kind));
+        let mut stored = std::mem::take(&mut self.series).into_iter();
+        let mut merged = Vec::with_capacity(stored.len() + fresh.len());
+        let mut placed = 0usize;
+        for (before, series) in fresh {
+            merged.extend(stored.by_ref().take(before - placed));
+            placed = before;
+            merged.push(series);
+        }
+        merged.extend(stored);
+        self.series = merged;
     }
 
     /// Every scrape instant, ascending.
@@ -495,20 +599,23 @@ impl TimeSeriesDb {
 
     /// Number of distinct `(series, facet)` streams.
     pub fn stream_count(&self) -> usize {
-        self.streams.len()
+        self.series.iter().map(|s| s.streams.len()).sum()
+    }
+
+    /// Distinct keys of the stored series, in order. A key scraped as
+    /// more than one kind is stored once per kind, next to itself.
+    fn keys(&self) -> impl Iterator<Item = &SeriesKey> {
+        let mut last: Option<&SeriesKey> = None;
+        self.series.iter().filter_map(move |s| {
+            let fresh_key = last != Some(&s.key);
+            last = Some(&s.key);
+            fresh_key.then_some(&s.key)
+        })
     }
 
     /// Number of distinct registry series with at least one sample.
     pub fn series_count(&self) -> usize {
-        let mut n = 0usize;
-        let mut last: Option<&SeriesKey> = None;
-        for key in self.streams.keys() {
-            if last != Some(&key.series) {
-                n += 1;
-                last = Some(&key.series);
-            }
-        }
-        n
+        self.keys().count()
     }
 
     /// Total samples stored across all streams.
@@ -518,7 +625,11 @@ impl TimeSeriesDb {
 
     /// Total encoded payload bytes across all streams.
     pub fn bytes(&self) -> usize {
-        self.streams.values().map(|s| s.data.len()).sum()
+        self.series
+            .iter()
+            .flat_map(|s| &s.streams)
+            .map(|stream| stream.data.len())
+            .sum()
     }
 
     /// Mean encoded bytes per stored sample (`0.0` when empty).
@@ -533,19 +644,20 @@ impl TimeSeriesDb {
     /// Series whose metric name is `metric` and whose labels are a
     /// superset of `labels`, in `(name, labels)` order.
     pub fn series_matching(&self, metric: &str, labels: &[(String, String)]) -> Vec<SeriesKey> {
+        let from = self
+            .series
+            .partition_point(|s| s.key.name.as_str() < metric);
         let mut out: Vec<SeriesKey> = Vec::new();
-        for key in self.streams.keys() {
-            if key.series.name != metric {
-                continue;
-            }
-            if !labels
-                .iter()
-                .all(|(k, v)| key.series.labels.get(k) == Some(v.as_str()))
+        for s in self.series[from..]
+            .iter()
+            .take_while(|s| s.key.name == metric)
+        {
+            if out.last() != Some(&s.key)
+                && labels
+                    .iter()
+                    .all(|(k, v)| s.key.labels.get(k) == Some(v.as_str()))
             {
-                continue;
-            }
-            if out.last() != Some(&key.series) {
-                out.push(key.series.clone());
+                out.push(s.key.clone());
             }
         }
         out
@@ -553,31 +665,46 @@ impl TimeSeriesDb {
 
     /// Every distinct series with at least one sample, in order.
     pub fn all_series(&self) -> Vec<SeriesKey> {
-        let mut out: Vec<SeriesKey> = Vec::new();
-        for key in self.streams.keys() {
-            if out.last() != Some(&key.series) {
-                out.push(key.series.clone());
-            }
-        }
-        out
+        self.keys().cloned().collect()
     }
 
     fn stream(&self, series: &SeriesKey, field: SampleField) -> Option<&Stream> {
-        self.streams.get(&StreamKey {
-            series: series.clone(),
-            field,
-        })
+        let (kind, index) = field.slot();
+        let at = self
+            .series
+            .binary_search_by(|s| s.cmp_to(series, kind))
+            .ok()?;
+        self.series.get(at)?.streams.get(index)
     }
 
-    /// The series' "natural" instantaneous stream: gauge `Value`, counter
+    /// Decodes the stream `f` reads from `series`: the counter `Total`
+    /// (else histogram `Count`) for `increase`/`rate`, the gauge
+    /// `Integral` for `avg_over_time` when there is one, and otherwise
+    /// the "natural" instantaneous stream — gauge `Value`, counter
     /// `Total` or histogram `Count`, whichever exists.
-    fn natural(&self, series: &SeriesKey) -> Option<(&Stream, SampleKind)> {
-        for field in [SampleField::Value, SampleField::Total, SampleField::Count] {
-            if let Some(s) = self.stream(series, field) {
-                return Some((s, s.kind));
+    fn decode(&self, series: &SeriesKey, f: QueryFn) -> Option<Decoded> {
+        let floats = |stream: &Stream| {
+            stream
+                .decode()
+                .into_iter()
+                .map(|(t, bits)| (t, stream.kind.as_f64(bits)))
+                .collect()
+        };
+        if matches!(f, QueryFn::Increase | QueryFn::Rate) {
+            let stream = self
+                .stream(series, SampleField::Total)
+                .or_else(|| self.stream(series, SampleField::Count))?;
+            return Some(Decoded::Totals(stream.decode()));
+        }
+        if f == QueryFn::AvgOverTime {
+            if let Some(stream) = self.stream(series, SampleField::Integral) {
+                return Some(Decoded::Integrals(floats(stream)));
             }
         }
-        None
+        [SampleField::Value, SampleField::Total, SampleField::Count]
+            .into_iter()
+            .find_map(|field| self.stream(series, field))
+            .map(|stream| Decoded::Values(floats(stream)))
     }
 
     /// Evaluates `f` over the window `[at − window, at]`.
@@ -593,39 +720,13 @@ impl TimeSeriesDb {
         window: SimDuration,
         at: SimTime,
     ) -> Option<f64> {
-        let start = SimTime::from_nanos(at.as_nanos().saturating_sub(window.as_nanos()));
-        match f {
-            QueryFn::Increase => self.increase(series, start, at),
-            QueryFn::Rate => {
-                let secs = window.as_secs_f64();
-                if secs <= 0.0 {
-                    return None;
-                }
-                Some(self.increase(series, start, at)? / secs)
-            }
-            QueryFn::AvgOverTime => self.avg_over_time(series, start, at),
-            QueryFn::MaxOverTime => self
-                .window_values(series, start, at)?
-                .into_iter()
-                .reduce(f64::max),
-            QueryFn::MinOverTime => self
-                .window_values(series, start, at)?
-                .into_iter()
-                .reduce(f64::min),
-            QueryFn::QuantileOverTime(q) => {
-                let mut vs = self.window_values(series, start, at)?;
-                if vs.is_empty() {
-                    return None;
-                }
-                vs.sort_by(f64::total_cmp);
-                let rank = ((q * vs.len() as f64).ceil() as usize).clamp(1, vs.len());
-                vs.get(rank - 1).copied()
-            }
-        }
+        self.decode(series, f)?.eval(f, window, at, self.epoch)
     }
 
     /// Evaluates `f` at every instant of the scrape timeline (or a coarser
-    /// `step` grid anchored at the epoch), oldest first.
+    /// `step` grid anchored at the epoch), oldest first. The series is
+    /// decoded once; each instant is then two binary searches plus the
+    /// function over its window.
     pub fn eval_range(
         &self,
         series: &SeriesKey,
@@ -649,89 +750,107 @@ impl TimeSeriesDb {
             }
             Some(_) => return Vec::new(),
         };
+        let decoded = self.decode(series, f);
         instants
             .into_iter()
             .map(|at| QueryPoint {
                 at,
-                value: self.eval_at(series, f, window, at),
+                value: decoded
+                    .as_ref()
+                    .and_then(|d| d.eval(f, window, at, self.epoch)),
             })
             .collect()
     }
+}
 
-    /// Counter increase over `(start, at]`: the last sample at or before
-    /// `at`, minus the last sample *strictly before* `start` (zero when the
-    /// stream begins inside the window — a counter is born at zero). The
-    /// strict lower bound is what makes a full-run `increase` reproduce the
-    /// snapshot `total` even when increments land at the epoch itself.
-    fn increase(&self, series: &SeriesKey, start: SimTime, at: SimTime) -> Option<f64> {
-        let stream = self
-            .stream(series, SampleField::Total)
-            .or_else(|| self.stream(series, SampleField::Count))?;
-        let samples = stream.decode();
-        let end = last_at_or_before(&samples, at)?;
-        let base = samples
-            .iter()
-            .rev()
-            .find(|(t, _)| *t < start.as_nanos())
-            .map_or(0, |(_, bits)| *bits);
-        Some(end.1.saturating_sub(base) as f64)
-    }
+/// One series' samples as a query function reads them, oldest first and
+/// strictly ascending in time ([`TimeSeriesDb::record`] enforces that),
+/// so window boundaries are found by binary search.
+enum Decoded {
+    /// Counter `Total` or histogram `Count` payloads.
+    Totals(Vec<(u64, u64)>),
+    /// Gauge running integrals.
+    Integrals(Vec<(u64, f64)>),
+    /// The natural stream's payloads as floats.
+    Values(Vec<(u64, f64)>),
+}
 
-    /// Gauge time-weighted average via the integral stream; arithmetic
-    /// sample mean for other kinds.
-    fn avg_over_time(&self, series: &SeriesKey, start: SimTime, at: SimTime) -> Option<f64> {
-        if let Some(stream) = self.stream(series, SampleField::Integral) {
-            let samples = stream.decode();
-            let (e_t, e_bits) = last_at_or_before(&samples, at)?;
-            // The window-start boundary resolves to the last sample at or
-            // before it; if none exists the gauge's whole history is inside
-            // the window and the epoch (integral zero) is the boundary.
-            let (s_t, s_bits) = samples
-                .iter()
-                .rev()
-                .find(|(t, _)| *t <= start.as_nanos())
-                .copied()
-                .unwrap_or((self.epoch.as_nanos(), 0.0f64.to_bits()));
-            if e_t <= s_t {
-                return None;
+impl Decoded {
+    /// `f` over `[at − window, at]`. `decode` picks the stream for `f`, so
+    /// a function paired with another function's stream has no value.
+    fn eval(&self, f: QueryFn, window: SimDuration, at: SimTime, epoch: SimTime) -> Option<f64> {
+        let at = at.as_nanos();
+        let start = at.saturating_sub(window.as_nanos());
+        match (f, self) {
+            // Counter increase over `(start, at]`: the last sample at or
+            // before `at`, minus the last sample *strictly before* `start`
+            // (zero when the stream begins inside the window — a counter
+            // is born at zero). The strict lower bound is what makes a
+            // full-run `increase` reproduce the snapshot `total` even when
+            // increments land at the epoch itself.
+            (QueryFn::Increase | QueryFn::Rate, Decoded::Totals(s)) => {
+                let (_, end) = *at_or_before(s, at).last()?;
+                let base = before(s, start).last().map_or(0, |&(_, v)| v);
+                let increase = end.saturating_sub(base) as f64;
+                if f == QueryFn::Increase {
+                    return Some(increase);
+                }
+                let secs = window.as_secs_f64();
+                (secs > 0.0).then(|| increase / secs)
             }
-            let secs = SimDuration::from_nanos(e_t - s_t).as_secs_f64();
-            return Some((f64::from_bits(e_bits) - f64::from_bits(s_bits)) / secs);
+            // Gauge time-weighted average: an integral difference over the
+            // elapsed time between the window's boundary samples. The start
+            // boundary resolves to the last sample at or before it; if none
+            // exists the gauge's whole history is inside the window and the
+            // epoch (integral zero) is the boundary.
+            (QueryFn::AvgOverTime, Decoded::Integrals(s)) => {
+                let (e_t, e_v) = *at_or_before(s, at).last()?;
+                let (s_t, s_v) = at_or_before(s, start)
+                    .last()
+                    .copied()
+                    .unwrap_or((epoch.as_nanos(), 0.0));
+                if e_t <= s_t {
+                    return None;
+                }
+                let secs = SimDuration::from_nanos(e_t - s_t).as_secs_f64();
+                Some((e_v - s_v) / secs)
+            }
+            (_, Decoded::Values(s)) => {
+                let from_start = &s[before(s, start).len()..];
+                let values = at_or_before(from_start, at).iter().map(|&(_, v)| v);
+                match f {
+                    // The arithmetic sample mean, for kinds with no integral.
+                    QueryFn::AvgOverTime => {
+                        let n = values.len();
+                        (n > 0).then(|| values.sum::<f64>() / n as f64)
+                    }
+                    QueryFn::MaxOverTime => values.reduce(f64::max),
+                    QueryFn::MinOverTime => values.reduce(f64::min),
+                    QueryFn::QuantileOverTime(q) => {
+                        let mut vs: Vec<f64> = values.collect();
+                        if vs.is_empty() {
+                            return None;
+                        }
+                        vs.sort_by(f64::total_cmp);
+                        let rank = ((q * vs.len() as f64).ceil() as usize).clamp(1, vs.len());
+                        vs.get(rank - 1).copied()
+                    }
+                    QueryFn::Increase | QueryFn::Rate => None,
+                }
+            }
+            _ => None,
         }
-        let vs = self.window_values(series, start, at)?;
-        if vs.is_empty() {
-            None
-        } else {
-            Some(vs.iter().sum::<f64>() / vs.len() as f64)
-        }
-    }
-
-    /// The natural-stream sample values with `t` in `[start, at]`, as
-    /// floats. `None` when the series has no natural stream; an empty vec
-    /// when it has one but no samples land in the window.
-    fn window_values(&self, series: &SeriesKey, start: SimTime, at: SimTime) -> Option<Vec<f64>> {
-        let (stream, kind) = self.natural(series)?;
-        Some(
-            stream
-                .decode()
-                .into_iter()
-                .filter(|(t, _)| *t >= start.as_nanos() && *t <= at.as_nanos())
-                .map(|(_, bits)| match kind {
-                    SampleKind::U64 => bits as f64,
-                    SampleKind::F64 => f64::from_bits(bits),
-                })
-                .collect(),
-        )
     }
 }
 
-/// The last `(t_ns, bits)` sample with `t ≤ at`, if any.
-fn last_at_or_before(samples: &[(u64, u64)], at: SimTime) -> Option<(u64, u64)> {
-    samples
-        .iter()
-        .rev()
-        .find(|(t, _)| *t <= at.as_nanos())
-        .copied()
+/// The leading samples with `t ≤ at`.
+fn at_or_before<T>(samples: &[(u64, T)], at: u64) -> &[(u64, T)] {
+    &samples[..samples.partition_point(|&(t, _)| t <= at)]
+}
+
+/// The leading samples with `t < at`.
+fn before<T>(samples: &[(u64, T)], at: u64) -> &[(u64, T)] {
+    &samples[..samples.partition_point(|&(t, _)| t < at)]
 }
 
 impl fmt::Display for TimeSeriesDb {
@@ -818,6 +937,15 @@ mod tests {
         let before = db.samples();
         db.record(&reg, t);
         assert_eq!(db.samples(), before, "an identical re-record adds nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "scrape time moved backwards")]
+    fn a_backward_scrape_panics() {
+        let reg = MetricsRegistry::new(SimTime::ZERO);
+        let mut db = TimeSeriesDb::new(SimTime::ZERO, ScrapeConfig::default());
+        db.record(&reg, SimTime::from_secs(5));
+        db.record(&reg, SimTime::from_secs(4));
     }
 
     #[test]

@@ -183,16 +183,24 @@ proptest! {
     // ------------------------------------------------------------------
     // Failure masks: failing any set of links and devices and then
     // repairing every one of them restores the fabric exactly — the
-    // connectivity report round-trips through arbitrary damage.
+    // connectivity report round-trips through arbitrary damage. Every
+    // damaged report also matches a per-host BFS count of reachable
+    // pairs, which shares nothing with `measure`'s component count.
     // ------------------------------------------------------------------
     #[test]
     fn failure_mask_repair_round_trips_connectivity(
+        fat in prop::bool::ANY,
         link_picks in prop::collection::vec(0usize..128, 0..12),
         device_picks in prop::collection::vec(0usize..16, 0..3),
     ) {
         use picloud_network::failure::{aggregation_devices, ConnectivityReport, FailureMask};
+        use picloud_network::graph::bfs_distances;
 
-        let topo = Topology::multi_root_tree(4, 14, 2);
+        let topo = if fat {
+            Topology::fat_tree(4)
+        } else {
+            Topology::multi_root_tree(4, 14, 2)
+        };
         let pristine = ConnectivityReport::measure(&topo);
         let links: Vec<_> = topo.links().iter().map(|l| l.id).collect();
         let aggs = aggregation_devices(&topo);
@@ -204,8 +212,25 @@ proptest! {
         for i in &device_picks {
             mask.fail_device(aggs[i % aggs.len()]);
         }
+        let degraded = mask.apply(&topo).topology;
+        let damaged = ConnectivityReport::measure(&degraded);
+        // The oracle: one BFS per surviving host, counting the other hosts
+        // it reaches.
+        let hosts: Vec<_> = degraded.hosts().map(|h| h.id).collect();
+        let reachable: usize = hosts
+            .iter()
+            .map(|&src| {
+                let dist = bfs_distances(&degraded, src);
+                hosts
+                    .iter()
+                    .filter(|&&h| h != src && dist[h.index()] != u32::MAX)
+                    .count()
+            })
+            .sum();
+        prop_assert_eq!(damaged.hosts_up, hosts.len());
+        prop_assert_eq!(damaged.reachable_pairs, reachable);
+        prop_assert_eq!(damaged.total_pairs, hosts.len() * hosts.len().saturating_sub(1));
         // The damaged fabric never reaches *more* pairs than the pristine one.
-        let damaged = ConnectivityReport::measure(&mask.apply(&topo).topology);
         prop_assert!(damaged.reachability() <= pristine.reachability() + 1e-12);
 
         for i in &link_picks {

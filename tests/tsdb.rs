@@ -22,9 +22,10 @@ use picloud_faults::{FaultKind, FaultTimeline};
 use picloud_hardware::node::NodeId;
 use picloud_simcore::telemetry::slo::{AlertPolicy, AlertSeverity, SloPolicy, Verdict};
 use picloud_simcore::telemetry::tsdb::{QueryFn, ScrapeConfig, TimeSeriesDb};
-use picloud_simcore::telemetry::{MetricValue, MetricsRegistry, TelemetrySink};
+use picloud_simcore::telemetry::{MetricValue, MetricsRegistry, SeriesKey, TelemetrySink};
 use picloud_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A churn horizon long enough to exercise every recovery path but short
 /// enough for the integration suite.
@@ -91,30 +92,178 @@ fn full_horizon_queries_reproduce_the_snapshot_exactly() {
     assert!(counters > 10, "and a real counter population: {counters}");
 }
 
+/// Metric names and `node` label values the random walk draws its series
+/// from. Keys appear in random order, so new series land before, between
+/// and after stored ones, and a name picked as both a gauge and a counter
+/// is stored as both kinds.
+const WALK_NAMES: [&str; 3] = ["b_walk", "d_walk", "f_walk"];
+const WALK_NODES: [&str; 3] = ["1", "4", "7"];
+
+/// One scrape as the brute-force oracle keeps it: each series' payloads
+/// at the scrape instant.
+struct LoggedScrape {
+    t: u64,
+    counters: BTreeMap<SeriesKey, u64>,
+    /// Gauge `(value, running integral)`.
+    gauges: BTreeMap<SeriesKey, (f64, f64)>,
+    /// Histogram observation counts.
+    histograms: BTreeMap<SeriesKey, u64>,
+}
+
+impl LoggedScrape {
+    fn of(reg: &MetricsRegistry, now: SimTime) -> Self {
+        LoggedScrape {
+            t: now.as_nanos(),
+            counters: reg
+                .counters()
+                .map(|(k, c)| (k.clone(), c.value()))
+                .collect(),
+            gauges: reg
+                .gauges()
+                .map(|(k, g)| (k.clone(), (g.value(), g.integral(now))))
+                .collect(),
+            histograms: reg
+                .histograms()
+                .map(|(k, h)| (k.clone(), h.len() as u64))
+                .collect(),
+        }
+    }
+}
+
+/// Scrapes `reg` into `db` and the shadow `log`; a same-instant re-scrape
+/// replaces the logged one, as the store amends its final samples.
+fn scrape_both(
+    reg: &MetricsRegistry,
+    db: &mut TimeSeriesDb,
+    log: &mut Vec<LoggedScrape>,
+    now: SimTime,
+) {
+    db.record(reg, now);
+    if log.last().is_some_and(|l| l.t == now.as_nanos()) {
+        log.pop();
+    }
+    log.push(LoggedScrape::of(reg, now));
+}
+
+/// The oracle's `(t, value)` history of `key`'s natural stream: the gauge
+/// value, else the counter total, else the histogram count.
+fn logged_values(log: &[LoggedScrape], key: &SeriesKey) -> Vec<(u64, f64)> {
+    let is_gauge = log.iter().any(|l| l.gauges.contains_key(key));
+    let is_counter = log.iter().any(|l| l.counters.contains_key(key));
+    log.iter()
+        .filter_map(|l| {
+            let v = if is_gauge {
+                l.gauges.get(key).map(|g| g.0)
+            } else if is_counter {
+                l.counters.get(key).map(|&c| c as f64)
+            } else {
+                l.histograms.get(key).map(|&c| c as f64)
+            }?;
+            Some((l.t, v))
+        })
+        .collect()
+}
+
+/// Brute-force `increase` over `(start, at]`: the last total at or before
+/// `at` minus the last one strictly before `start` (zero if none).
+fn logged_increase(log: &[LoggedScrape], key: &SeriesKey, start: u64, at: u64) -> Option<f64> {
+    let totals: Vec<(u64, u64)> = log
+        .iter()
+        .filter_map(|l| {
+            let v = l.counters.get(key).or_else(|| l.histograms.get(key))?;
+            Some((l.t, *v))
+        })
+        .collect();
+    let end = totals.iter().rev().find(|(t, _)| *t <= at)?.1;
+    let base = totals
+        .iter()
+        .rev()
+        .find(|(t, _)| *t < start)
+        .map_or(0, |(_, v)| *v);
+    Some(end.saturating_sub(base) as f64)
+}
+
+/// Brute-force gauge `avg_over_time`: the integral difference between the
+/// last samples at or before `at` and `start` (the epoch if none) over
+/// the time between them.
+fn logged_gauge_avg(log: &[LoggedScrape], key: &SeriesKey, start: u64, at: u64) -> Option<f64> {
+    let integrals: Vec<(u64, f64)> = log
+        .iter()
+        .filter_map(|l| Some((l.t, l.gauges.get(key)?.1)))
+        .collect();
+    let (e_t, e_v) = *integrals.iter().rev().find(|(t, _)| *t <= at)?;
+    let (s_t, s_v) = integrals
+        .iter()
+        .rev()
+        .find(|(t, _)| *t <= start)
+        .copied()
+        .unwrap_or((0, 0.0));
+    if e_t <= s_t {
+        return None;
+    }
+    Some((e_v - s_v) / SimDuration::from_nanos(e_t - s_t).as_secs_f64())
+}
+
+/// Brute-force nearest-rank quantile of `values`.
+fn logged_quantile(mut values: Vec<f64>, q: f64) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    values.sort_by(f64::total_cmp);
+    let rank = ((q * values.len() as f64).ceil() as usize).clamp(1, values.len());
+    Some(values[rank - 1])
+}
+
 proptest! {
     /// The identity holds for arbitrary update/scrape interleavings, not
-    /// just the E17 series: random gauge walks and counter bumps,
-    /// scraped on a random grid, still reproduce mean/total exactly.
+    /// just the E17 series: random gauge walks, counter bumps and
+    /// histogram observations over a pool of keys, scraped on a random
+    /// grid, still reproduce mean/total exactly. Windowed queries at
+    /// random (window, instant) pairs agree bit for bit with a
+    /// brute-force evaluation of a shadow log of every scrape.
     #[test]
     fn random_walks_reproduce_snapshot_statistics(
         steps in prop::collection::vec(
-            (1u64..30_000_000_000u64, 0u32..1000u32, 0u64..50u64, prop::bool::ANY),
+            (
+                1u64..30_000_000_000u64,
+                0u8..4u8,
+                0usize..9usize,
+                0u32..1000u32,
+                0u64..50u64,
+                prop::bool::ANY,
+            ),
             1..40,
+        ),
+        queries in prop::collection::vec(
+            (0usize..1000usize, 0usize..1000usize, 0u8..4u8, 0usize..4usize),
+            1..24,
         ),
     ) {
         let mut reg = MetricsRegistry::new(SimTime::ZERO);
         let mut db = TimeSeriesDb::new(SimTime::ZERO, ScrapeConfig::default());
-        db.record(&reg, SimTime::ZERO);
+        let mut log: Vec<LoggedScrape> = Vec::new();
+        scrape_both(&reg, &mut db, &mut log, SimTime::ZERO);
         let mut now = SimTime::ZERO;
-        for (dt, gauge_permille, bump, scrape) in steps {
+        for (dt, op, pick, permille, bump, scrape) in steps {
             now = now.saturating_add(SimDuration::from_nanos(dt));
-            reg.gauge("walk", &[]).set(now, f64::from(gauge_permille) / 1000.0);
-            reg.counter("bumps", &[]).add(bump);
+            let name = WALK_NAMES[pick % 3];
+            let node = [("node", WALK_NODES[pick / 3])];
+            let value = f64::from(permille) / 1000.0;
+            match op {
+                0 => reg.gauge(name, &node).set(now, value),
+                1 => reg.counter(name, &node).add(bump),
+                // One key that is always both a gauge and a counter.
+                2 => {
+                    reg.gauge("e_dual", &[]).set(now, value);
+                    reg.counter("e_dual", &[]).add(bump);
+                }
+                _ => reg.histogram("c_latency_seconds", &[]).observe(value),
+            }
             if scrape {
-                db.record(&reg, now);
+                scrape_both(&reg, &mut db, &mut log, now);
             }
         }
-        db.record(&reg, now); // the forced end-of-run scrape
+        scrape_both(&reg, &mut db, &mut log, now); // the forced end-of-run scrape
         let at = *db.scrape_times().last().unwrap();
         let window = at.saturating_duration_since(SimTime::ZERO);
         let snap = reg.snapshot(at);
@@ -129,6 +278,68 @@ proptest! {
                     prop_assert_eq!(avg.to_bits(), mean.to_bits());
                 }
                 MetricValue::Histogram { .. } => {}
+            }
+        }
+
+        // The merge walk keeps one entry per key, in key order.
+        let mut keys: Vec<SeriesKey> = log
+            .iter()
+            .flat_map(|l| l.counters.keys().chain(l.gauges.keys()).chain(l.histograms.keys()))
+            .cloned()
+            .collect();
+        keys.sort();
+        keys.dedup();
+        prop_assert_eq!(db.all_series(), keys.clone());
+        for name in WALK_NAMES {
+            let named: Vec<SeriesKey> = keys.iter().filter(|k| k.name == name).cloned().collect();
+            prop_assert_eq!(db.series_matching(name, &[]), named);
+        }
+        let times: Vec<u64> = log.iter().map(|l| l.t).collect();
+        prop_assert_eq!(
+            db.scrape_times().iter().map(|t| t.as_nanos()).collect::<Vec<_>>(),
+            times.clone()
+        );
+
+        // Random windows and instants, some snapped to scrape instants so
+        // window edges land exactly on samples.
+        let last = at.as_nanos();
+        for (a, b, snap_mask, qi) in queries {
+            let at_ns = if snap_mask & 1 != 0 {
+                times[a % times.len()]
+            } else {
+                (last + 10_000_000_000) / 999 * a as u64
+            };
+            let window_ns = if snap_mask & 2 != 0 {
+                at_ns.saturating_sub(times[b % times.len()])
+            } else {
+                (at_ns + 1_000_000_000) / 999 * b as u64
+            };
+            let start_ns = at_ns.saturating_sub(window_ns);
+            let q_at = SimTime::from_nanos(at_ns);
+            let q_window = SimDuration::from_nanos(window_ns);
+            let q = [0.0, 0.5, 0.9, 1.0][qi];
+            let bits = |v: Option<f64>| v.map(f64::to_bits);
+            for key in &keys {
+                let in_window: Vec<f64> = logged_values(&log, key)
+                    .into_iter()
+                    .filter(|(t, _)| *t >= start_ns && *t <= at_ns)
+                    .map(|(_, v)| v)
+                    .collect();
+                let cases = [
+                    (QueryFn::Increase, logged_increase(&log, key, start_ns, at_ns)),
+                    (QueryFn::MaxOverTime, in_window.iter().copied().reduce(f64::max)),
+                    (QueryFn::MinOverTime, in_window.iter().copied().reduce(f64::min)),
+                    (QueryFn::QuantileOverTime(q), logged_quantile(in_window.clone(), q)),
+                ];
+                for (f, want) in cases {
+                    let got = db.eval_at(key, f, q_window, q_at);
+                    prop_assert_eq!(bits(got), bits(want), "{:?} of {} at {} over {}", f, key, at_ns, window_ns);
+                }
+                if log.iter().any(|l| l.gauges.contains_key(key)) {
+                    let got = db.eval_at(key, QueryFn::AvgOverTime, q_window, q_at);
+                    let want = logged_gauge_avg(&log, key, start_ns, at_ns);
+                    prop_assert_eq!(bits(got), bits(want), "avg_over_time of {} at {} over {}", key, at_ns, window_ns);
+                }
             }
         }
     }
@@ -220,7 +431,10 @@ fn slow_node_burst_pages_fast_windows_but_passes_the_whole_run() {
     let page = &policy.alerts[0];
     assert_eq!(page.severity, AlertSeverity::Page);
     let whole_run_burn = page
-        .burn(db, full_window(db, at), at)
+        .burns(db, full_window(db, at))
+        .last()
+        .copied()
+        .flatten()
         .expect("fleet series were scraped");
     assert!(
         whole_run_burn < 1.0,
