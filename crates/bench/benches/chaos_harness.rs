@@ -1,46 +1,32 @@
 //! Chaos harness cost: what one seeded adversarial schedule costs to
 //! generate, run with the invariant registry armed, and shrink — the
 //! unit of work the `chaos-smoke` CI job and `picloud-cli chaos` repeat.
+//! The schedule is the standard profile's at seed 7 on the E17 domain
+//! tree; writes `BENCH_chaos.json` at the repository root.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use picloud::chaos::{
     chaos_config_e17, domain_tree, run_chaos_schedule, shrink_schedule, Sabotage,
 };
-use picloud_bench::{print_once, quick_criterion};
+use picloud_bench::report::{per_call_ns, Report};
 use picloud_faults::{ChaosProfile, ChaosSchedule};
-use std::hint::black_box;
-use std::sync::Once;
+use picloud_network::flowsim::partition::default_workers;
 
-static BANNER: Once = Once::new();
+const LAYER: &str = "core.chaos";
+const SEED: u64 = 7;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let tree = domain_tree();
     let config = chaos_config_e17();
     let profile = ChaosProfile::standard();
-    let schedule = ChaosSchedule::generate(7, &tree, &profile);
-    print_once(
-        "Chaos harness — schedule generation, invariant-checked run, shrink",
-        &format!(
-            "standard profile: {} events over {}, heals all: {}",
-            schedule.timeline.len(),
-            schedule.horizon,
-            schedule.heals_all,
-        ),
-        &BANNER,
-    );
-    c.bench_function("chaos/generate_schedule", |b| {
-        b.iter(|| black_box(ChaosSchedule::generate(7, &tree, &profile)))
-    });
+    let schedule = ChaosSchedule::generate(SEED, &tree, &profile);
+    let generate_ns = per_call_ns(9, 100, || ChaosSchedule::generate(SEED, &tree, &profile));
     // A full 600 s adversarial run with every safety invariant checked
     // after every event, sweep and landing.
-    c.bench_function("chaos/run_schedule_invariants_armed", |b| {
-        b.iter(|| black_box(run_chaos_schedule(&config, &schedule, Sabotage::None)))
-    });
-    c.bench_function("chaos/json_roundtrip", |b| {
-        b.iter(|| {
-            let json = schedule.to_json();
-            black_box(ChaosSchedule::from_json(&json).expect("round-trips"))
-        })
+    let run_ms = per_call_ns(5, 1, || {
+        run_chaos_schedule(&config, &schedule, Sabotage::None)
+    }) / 1e6;
+    let json_roundtrip_ns = per_call_ns(9, 10, || {
+        ChaosSchedule::from_json(&schedule.to_json()).expect("round-trips")
     });
     // Shrinking a violating schedule: hunt a dense schedule that corners
     // the blind-placement sabotage, then ddmin it to 1-minimal.
@@ -56,20 +42,16 @@ fn bench(c: &mut Criterion) {
                 .is_some()
         })
         .expect("blind placement violates within 64 seeds");
-    c.bench_function("chaos/shrink_to_minimal", |b| {
-        b.iter(|| {
-            black_box(shrink_schedule(
-                &config,
-                &violating,
-                Sabotage::BlindPlacement,
-            ))
-        })
-    });
-}
+    let shrink_ms = per_call_ns(3, 1, || {
+        shrink_schedule(&config, &violating, Sabotage::BlindPlacement)
+    }) / 1e6;
 
-criterion_group! {
-    name = benches;
-    config = quick_criterion();
-    targets = bench
+    let events = schedule.timeline.len() as f64;
+    Report::new("chaos", SEED, default_workers())
+        .row(LAYER, "schedule_events", "count", events)
+        .row(LAYER, "generate_ns", "ns", generate_ns)
+        .row(LAYER, "run_ms", "ms", run_ms)
+        .row(LAYER, "json_roundtrip_ns", "ns", json_roundtrip_ns)
+        .row(LAYER, "shrink_ms", "ms", shrink_ms)
+        .write();
 }
-criterion_main!(benches);

@@ -1,22 +1,21 @@
-//! Times every experiment registry entry's report at the paper seed: the
-//! work `picloud-cli <id>` does, one line per experiment.
+//! Times every experiment registry entry's report at the paper seed —
+//! the work `picloud-cli <id>` does — plus their sum, and writes
+//! `BENCH_experiments.json` at the repository root.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use picloud::experiments::REGISTRY;
-use picloud_bench::quick_criterion;
-use std::hint::black_box;
+use picloud_bench::report::{per_call_ns, Report};
+use picloud_network::flowsim::partition::default_workers;
 
-fn bench(c: &mut Criterion) {
+const LAYER: &str = "core.experiments";
+const SEED: u64 = 2013;
+
+fn main() {
+    let mut report = Report::new("experiments", SEED, default_workers());
+    let mut total_ms = 0.0;
     for e in REGISTRY {
-        c.bench_function(&format!("experiments/{}", e.id), |b| {
-            b.iter(|| black_box((e.report)(2013)))
-        });
+        let ms = per_call_ns(5, 1, || (e.report)(SEED)) / 1e6;
+        total_ms += ms;
+        report.row(LAYER, &format!("report_ms.{}", e.id), "ms", ms);
     }
+    report.row(LAYER, "report_ms.total", "ms", total_ms).write();
 }
-
-criterion_group! {
-    name = benches;
-    config = quick_criterion();
-    targets = bench
-}
-criterion_main!(benches);

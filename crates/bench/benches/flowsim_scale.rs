@@ -5,11 +5,12 @@
 //! The incremental max–min solver's pitch is sub-quadratic scaling: an
 //! inject or completion should only pay for its dirty region, not for
 //! every active flow in the fabric. This bench pins that claim with
-//! numbers on the paper's 56-host multi-root tree carrying the
-//! measurement-calibrated Pareto mix: best-round nanos per inject, per
-//! advance step and per completed flow at 80–800 concurrent flows, and
-//! an in-bench guard that a 10× larger population stays within linear
-//! per-op growth (a quadratic-per-op regression lands at ~100×).
+//! numbers on the paper's 56-host `multi_root_tree(4,14,2)` carrying the
+//! measurement-calibrated Pareto mix (seed 42): fastest-round nanos per
+//! inject, per advance step and per completed flow at 80–800 concurrent
+//! flows, and an in-bench guard that a 10× larger population stays
+//! within linear per-op growth (a quadratic-per-op regression lands at
+//! ~100×).
 //!
 //! The second section scales past the paper: a 1024-host `fat_tree(16)`
 //! pre-loaded with ≥ 100k active flows, swept over partition
@@ -19,11 +20,11 @@
 //! count rises (the in-bench assert). The solver worker-pool size comes
 //! from `--partitions N` (after `--`) or `PICLOUD_FLOW_WORKERS`; worker
 //! count never changes a simulated bit (pinned by
-//! `tests/flowsim_equiv.rs`), only wall-clock time. Both sections land
-//! in `BENCH_flowsim.json`; EXPERIMENTS.md documents the schema.
+//! `tests/flowsim_equiv.rs`), only wall-clock time. The report's
+//! `workers` is the pool size the fat-tree section ran with; the 56-host
+//! section always runs on one worker.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use picloud_bench::{print_once, quick_criterion};
+use picloud_bench::report::{fastest_ns, per_call_ns, Report};
 use picloud_network::flow::FlowSpec;
 use picloud_network::flowsim::{FlowSimulator, RateAllocator};
 use picloud_network::routing::RoutingPolicy;
@@ -31,31 +32,11 @@ use picloud_network::topology::Topology;
 use picloud_simcore::rng::SeedFactory;
 use picloud_simcore::{SimDuration, SimTime};
 use picloud_workloads::traffic::TrafficPattern;
-use std::hint::black_box;
-use std::sync::Once;
-use std::time::Instant;
 
-static BANNER: Once = Once::new();
-
+const LAYER: &str = "network.flowsim";
+/// Seed of the Pareto-mix traffic the 56-host section draws.
+const SEED: u64 = 42;
 const SCALES: [usize; 4] = [80, 160, 320, 800];
-
-/// Best-round nanos per iteration of `f` over `rounds` timed rounds of
-/// `iters` calls each. The minimum is the noise-robust estimator of an
-/// operation's intrinsic cost (scheduler preemption and cache pollution
-/// only ever add time), which matters because the scaling asserts below
-/// compare two of these figures against a fixed ratio.
-fn time_ns_per_iter(rounds: usize, iters: u32, mut f: impl FnMut()) -> u64 {
-    (0..rounds)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            (start.elapsed().as_nanos() / u128::from(iters)) as u64
-        })
-        .min()
-        .unwrap_or(0)
-}
 
 /// Pareto-mix specs drawn from the calibrated DC pattern, endpoints and
 /// sizes only (the bench controls injection times itself).
@@ -67,7 +48,7 @@ fn specs(n: usize) -> Vec<FlowSpec> {
     // One generation window usually suffices; widen it until it does.
     while out.len() < n {
         out.clear();
-        let wl = pattern.generate(&topo, window, &SeedFactory::new(42));
+        let wl = pattern.generate(&topo, window, &SeedFactory::new(SEED));
         out.extend(wl.events().iter().take(n).map(|(_, s)| s.clone()));
         window = window.saturating_add(window);
     }
@@ -86,12 +67,12 @@ fn loaded_sim(n: usize) -> FlowSimulator {
     sim
 }
 
-/// Per-scale hot-path costs.
+/// Per-scale hot-path costs, fastest-round nanos per operation.
 struct ScaleRow {
     active: usize,
-    inject_ns: u64,
-    advance_ns: u64,
-    complete_ns: u64,
+    inject_ns: f64,
+    advance_ns: f64,
+    complete_ns: f64,
 }
 
 fn measure(scale: usize, probes: &[FlowSpec]) -> ScaleRow {
@@ -100,25 +81,21 @@ fn measure(scale: usize, probes: &[FlowSpec]) -> ScaleRow {
     // Inject: one extra flow into the steady population, then back out.
     let mut sim = base.clone();
     let mut i = 0usize;
-    let inject_ns = time_ns_per_iter(9, 64, || {
+    let inject_ns = per_call_ns(9, 64, || {
         let spec = probes[i % probes.len()].clone();
         i += 1;
         let at = sim.now();
         let id = sim.inject(spec, at).expect("probe endpoints are hosts");
         sim.cancel(id);
-        black_box(sim.active_count());
+        sim.active_count()
     });
 
-    // Advance: event-by-event progress through completions.
-    let advance_ns = {
-        let mut sims = Vec::new();
-        let mut samples = Vec::new();
-        for _ in 0..5 {
-            sims.push(base.clone());
-        }
-        for mut sim in sims {
-            let start = Instant::now();
-            let mut steps = 0u32;
+    // Advance: event-by-event progress through up to 64 completions.
+    let advance_ns = fastest_ns(
+        5,
+        || base.clone(),
+        |sim| {
+            let mut steps = 0u64;
             while steps < 64 {
                 match sim.next_completion_time() {
                     Some(t) => sim.advance_to(t),
@@ -126,27 +103,19 @@ fn measure(scale: usize, probes: &[FlowSpec]) -> ScaleRow {
                 }
                 steps += 1;
             }
-            if steps > 0 {
-                samples.push((start.elapsed().as_nanos() / u128::from(steps)) as u64);
-            }
-        }
-        samples.sort_unstable();
-        samples[samples.len() / 2]
-    };
+            steps
+        },
+    );
 
     // Complete: full drain, cost per completed flow.
-    let complete_ns = {
-        let mut samples = Vec::new();
-        for _ in 0..3 {
-            let mut sim = base.clone();
-            let start = Instant::now();
+    let complete_ns = fastest_ns(
+        3,
+        || base.clone(),
+        |sim| {
             sim.run_to_completion();
-            let done = sim.completed_total().max(1);
-            samples.push((start.elapsed().as_nanos() / u128::from(done)) as u64);
-        }
-        samples.sort_unstable();
-        samples[samples.len() / 2]
-    };
+            sim.completed_total()
+        },
+    );
 
     ScaleRow {
         active: scale,
@@ -156,20 +125,8 @@ fn measure(scale: usize, probes: &[FlowSpec]) -> ScaleRow {
     }
 }
 
-/// One partition-concentration point on the 1024-host fat-tree.
-struct ConcentrationRow {
-    /// Pods the population is confined to (= local partitions exercised).
-    partitions_loaded: usize,
-    /// Active flows per loaded pod.
-    pod_flows: usize,
-    /// Median nanos for an inject + cancel probe into pod 0.
-    inject_ns: u64,
-}
-
 /// Worker-pool size for the fat-tree section: `--partitions N` after
 /// `--` on the bench command line, else `PICLOUD_FLOW_WORKERS`, else 1.
-/// (The vendored criterion shim ignores CLI arguments, so the flag is
-/// ours to parse.)
 fn scale_workers() -> usize {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
@@ -223,11 +180,16 @@ fn concentrated_specs(
     out
 }
 
+/// Fastest-round nanos per inject + cancel probe into pod 0 with the
+/// population confined to `p` pods, and the pool size the simulator
+/// actually ran with (the report records that, not the raw flag, so the
+/// CI partitions matrix uploads stay distinguishable even if the request
+/// gets clamped).
 fn measure_concentration(
     pods: &[Vec<picloud_network::topology::DeviceId>],
     p: usize,
     workers: usize,
-) -> (ConcentrationRow, usize) {
+) -> (f64, usize) {
     let mut sim = FlowSimulator::new(
         Topology::fat_tree(SCALE_K),
         RoutingPolicy::SingleShortest,
@@ -247,93 +209,56 @@ fn measure_concentration(
         pods[0][1],
         picloud_simcore::units::Bytes::mib(1),
     );
-    let inject_ns = time_ns_per_iter(3, 4, || {
+    let inject_ns = per_call_ns(3, 4, || {
         let at = sim.now();
         let id = sim.inject(probe.clone(), at).expect("pod-0 probe routes");
         sim.cancel(id);
-        black_box(sim.active_count());
+        sim.active_count()
     });
-    (
-        ConcentrationRow {
-            partitions_loaded: p,
-            pod_flows: SCALE_FLOWS / p,
-            inject_ns,
-        },
-        effective,
-    )
+    (inject_ns, effective)
 }
 
-/// The fat-tree scale sweep: same population, rising partition spread.
-/// Returns the rows plus the pool size the simulators actually ran with
-/// (the artifact records that, not the raw flag, so the CI partitions
-/// matrix uploads stay distinguishable even if the request gets
-/// clamped).
-fn measure_fat_tree_scale(workers: usize) -> (Vec<ConcentrationRow>, usize) {
-    let topo = Topology::fat_tree(SCALE_K);
-    let pods = hosts_by_pod(&topo);
-    let mut effective = workers.max(1);
-    let rows = [1usize, 4, 16]
-        .iter()
-        .map(|&p| {
-            let (row, used) = measure_concentration(&pods, p, workers);
-            effective = used;
-            row
-        })
-        .collect();
-    (rows, effective)
-}
-
-fn write_artifact() -> (Vec<ScaleRow>, Vec<ConcentrationRow>) {
+fn main() {
     let probes = specs(64);
     let rows: Vec<ScaleRow> = SCALES.iter().map(|&s| measure(s, &probes)).collect();
-    let (scale_rows, workers) = measure_fat_tree_scale(scale_workers());
 
-    let mut body = String::from(
-        "{\n  \"bench\": \"flowsim\",\n  \"topology\": \"multi_root_tree(4,14,2)\",\n  \
-         \"hosts\": 56,\n  \"scales\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"active_flows\": {}, \"ns_per_inject\": {}, \
-             \"ns_per_advance\": {}, \"ns_per_complete\": {}}}{}\n",
-            r.active,
-            r.inject_ns,
-            r.advance_ns,
-            r.complete_ns,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    body.push_str(&format!(
-        "  ],\n  \"fat_tree_scale\": {{\n    \"topology\": \"fat_tree({SCALE_K})\",\n    \
-         \"hosts\": 1024,\n    \"active_flows\": {SCALE_FLOWS},\n    \
-         \"workers\": {workers},\n    \"concentrations\": [\n"
-    ));
-    for (i, r) in scale_rows.iter().enumerate() {
-        body.push_str(&format!(
-            "      {{\"partitions_loaded\": {}, \"pod_flows\": {}, \"ns_per_inject\": {}}}{}\n",
-            r.partitions_loaded,
-            r.pod_flows,
-            r.inject_ns,
-            if i + 1 < scale_rows.len() { "," } else { "" },
-        ));
-    }
-    body.push_str("    ]\n  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_flowsim.json");
-    match std::fs::write(path, &body) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-    println!("{body}");
-    (rows, scale_rows)
-}
+    // The fat-tree sweep: same population, rising partition spread.
+    let fat_tree = Topology::fat_tree(SCALE_K);
+    let pods = hosts_by_pod(&fat_tree);
+    let requested = scale_workers();
+    let mut workers = requested;
+    let concentrations: Vec<(usize, f64)> = [1usize, 4, 16]
+        .iter()
+        .map(|&p| {
+            let (inject_ns, used) = measure_concentration(&pods, p, requested);
+            workers = used;
+            (p, inject_ns)
+        })
+        .collect();
 
-fn bench(c: &mut Criterion) {
-    print_once(
-        "Fabric scaling — incremental solver cost vs active-flow count",
-        "Median hot-path costs land in BENCH_flowsim.json (repo root).",
-        &BANNER,
-    );
-    let (rows, scale_rows) = write_artifact();
+    let mut report = Report::new("flowsim", SEED, workers);
+    let paper_hosts = Topology::multi_root_tree(4, 14, 2).hosts().count();
+    report.row(LAYER, "hosts.paper_fabric", "count", paper_hosts as f64);
+    for r in &rows {
+        for (op, ns) in [
+            ("inject", r.inject_ns),
+            ("advance", r.advance_ns),
+            ("complete", r.complete_ns),
+        ] {
+            report.row(LAYER, &format!("{op}_ns.active_{}", r.active), "ns", ns);
+        }
+    }
+    let (fat_tree_hosts, flows) = (fat_tree.hosts().count() as f64, SCALE_FLOWS as f64);
+    report
+        .row(LAYER, "hosts.fat_tree_16", "count", fat_tree_hosts)
+        .row(LAYER, "active_flows.fat_tree_16", "count", flows);
+    for &(p, inject_ns) in &concentrations {
+        let pod_flows = (SCALE_FLOWS / p) as f64;
+        report
+            .row(LAYER, &format!("pod_flows.pods_{p}"), "count", pod_flows)
+            .row(LAYER, &format!("inject_ns.pods_{p}"), "ns", inject_ns);
+    }
+    report.write();
 
     // Quadratic-blowup guard: on the saturated 56-host fabric every flow
     // shares links with every other, so one probe's dirty region is the
@@ -349,7 +274,7 @@ fn bench(c: &mut Criterion) {
     let (small, large) = (&rows[0], &rows[rows.len() - 1]);
     assert_eq!(large.active, small.active * 10);
     assert!(
-        large.inject_ns < small.inject_ns.max(1) * 20,
+        large.inject_ns < small.inject_ns.max(1.0) * 20.0,
         "inject cost blew past linear: {} ns at {} flows vs {} ns at {} flows",
         large.inject_ns,
         large.active,
@@ -357,7 +282,7 @@ fn bench(c: &mut Criterion) {
         small.active
     );
     assert!(
-        large.advance_ns < small.advance_ns.max(1) * 20,
+        large.advance_ns < small.advance_ns.max(1.0) * 20.0,
         "advance cost blew past linear: {} ns at {} flows vs {} ns at {} flows",
         large.advance_ns,
         large.active,
@@ -369,41 +294,11 @@ fn bench(c: &mut Criterion) {
     // 16 pods instead of 1 shrinks every dirty region 16×, so per-inject
     // cost must fall well below proportional — sub-linear in partition
     // count means 16× the partitions buys (much) more than 4× per op.
-    let (one, sixteen) = (&scale_rows[0], &scale_rows[scale_rows.len() - 1]);
-    assert_eq!((one.partitions_loaded, sixteen.partitions_loaded), (1, 16));
+    let ((one_p, one), (sixteen_p, sixteen)) =
+        (concentrations[0], concentrations[concentrations.len() - 1]);
+    assert_eq!((one_p, sixteen_p), (1, 16));
     assert!(
-        sixteen.inject_ns.max(1) * 4 < one.inject_ns,
-        "partitioning does not pay: {} ns/inject at 1 partition vs {} ns at 16",
-        one.inject_ns,
-        sixteen.inject_ns
+        sixteen.max(1.0) * 4.0 < one,
+        "partitioning does not pay: {one} ns/inject at 1 partition vs {sixteen} ns at 16"
     );
-
-    c.bench_function("flowsim/inject_cancel_at_320", |b| {
-        let mut sim = loaded_sim(320);
-        let probes = specs(8);
-        let mut i = 0usize;
-        b.iter(|| {
-            let spec = probes[i % probes.len()].clone();
-            i += 1;
-            let at = sim.now();
-            let id = sim.inject(spec, at).expect("probe endpoints are hosts");
-            sim.cancel(id);
-            black_box(sim.active_count());
-        })
-    });
-    c.bench_function("flowsim/drain_80", |b| {
-        let base = loaded_sim(80);
-        b.iter(|| {
-            let mut sim = base.clone();
-            sim.run_to_completion();
-            black_box(sim.completed_total())
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = quick_criterion();
-    targets = bench
-}
-criterion_main!(benches);

@@ -13,8 +13,8 @@
 //!    tier (see [`LinkFeatures`]).
 //! 2. **Clustering** — a deterministic, seeded greedy pass groups
 //!    resources whose min–max-normalised features sit within
-//!    [`EstimateConfig::epsilon`] of a cluster representative under a
-//!    pluggable [`FeatureMetric`].
+//!    [`EPSILON`] of a cluster representative under the
+//!    dimension-normalised Euclidean distance.
 //! 3. **Representatives** — one *exact* single-link solve runs per
 //!    cluster: on an isolated link max–min fairness is weighted
 //!    processor sharing, so the representative's crossing flows are
@@ -76,36 +76,6 @@ impl FidelityMode {
     }
 }
 
-/// Distance metric over normalised link-feature vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum FeatureMetric {
-    /// Dimension-normalised Euclidean distance:
-    /// `sqrt(mean((a_i - b_i)^2))`, so epsilon is scale-free in the
-    /// number of features.
-    #[default]
-    NormL2,
-    /// Chebyshev distance: `max_i |a_i - b_i|` — clusters only links
-    /// that agree on *every* feature.
-    MaxRel,
-}
-
-impl FeatureMetric {
-    /// Distance between two normalised feature vectors.
-    pub fn distance(self, a: &[f64; FEATURE_DIMS], b: &[f64; FEATURE_DIMS]) -> f64 {
-        match self {
-            FeatureMetric::NormL2 => {
-                let sum: f64 = a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum();
-                (sum / FEATURE_DIMS as f64).sqrt()
-            }
-            FeatureMetric::MaxRel => a
-                .iter()
-                .zip(b.iter())
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max),
-        }
-    }
-}
-
 /// Number of dimensions in a [`LinkFeatures`] vector.
 pub const FEATURE_DIMS: usize = 6;
 
@@ -147,45 +117,39 @@ impl LinkFeatures {
     }
 }
 
-/// Tuning knobs for the estimation pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Clustering radius: a resource joins the first cluster whose
+/// representative is within `EPSILON` of it under the
+/// dimension-normalised Euclidean distance `sqrt(mean((a_i - b_i)^2))`,
+/// which keeps the radius scale-free in the number of features.
+pub const EPSILON: f64 = 0.05;
+
+/// Path-composition blend between bottleneck-only (`0.0`: the flow's
+/// slowdown is the worst cluster on its path, exact for a single
+/// congested hop under max–min fairness) and fully additive (`1.0`:
+/// per-cluster excess delays sum, which over-counts when one bottleneck
+/// dominates). Fitted against the exact oracle on the S2 sweep
+/// (`EXPERIMENTS.md` §S2).
+pub const BLEND: f64 = 0.3;
+
+/// The estimation pipeline's one setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct EstimateConfig {
-    /// Distance metric over normalised feature vectors.
-    pub metric: FeatureMetric,
-    /// Clustering radius: a resource joins the first cluster whose
-    /// representative is within `epsilon` under `metric`.
-    pub epsilon: f64,
     /// Seed for the clustering visit order and the per-flow
     /// inverse-CDF draw coordinates.
     pub seed: u64,
-    /// Path-composition blend between bottleneck-only (`0.0`: the
-    /// flow's slowdown is the worst cluster on its path, exact for a
-    /// single congested hop under max–min fairness) and fully additive
-    /// (`1.0`: per-cluster excess delays sum, which over-counts when
-    /// one bottleneck dominates). The default is fitted against the
-    /// exact oracle on the S2 sweep (`EXPERIMENTS.md` §S2).
-    pub blend: f64,
-}
-
-impl Default for EstimateConfig {
-    fn default() -> Self {
-        EstimateConfig {
-            metric: FeatureMetric::NormL2,
-            epsilon: 0.05,
-            seed: 0,
-            blend: 0.3,
-        }
-    }
 }
 
 impl EstimateConfig {
-    /// The default configuration with the given seed.
+    /// The configuration with the given seed.
     pub fn seeded(seed: u64) -> Self {
-        EstimateConfig {
-            seed,
-            ..EstimateConfig::default()
-        }
+        EstimateConfig { seed }
     }
+}
+
+/// Distance between two normalised feature vectors (see [`EPSILON`]).
+fn feature_distance(a: &[f64; FEATURE_DIMS], b: &[f64; FEATURE_DIMS]) -> f64 {
+    let sum: f64 = a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum();
+    (sum / FEATURE_DIMS as f64).sqrt()
 }
 
 /// One cluster of similar link directions: a representative resource
@@ -300,7 +264,7 @@ impl FlowEstimator {
         self
     }
 
-    /// Builder-style estimation config (metric, epsilon, seed).
+    /// Builder-style estimation config (the seed).
     #[must_use]
     pub fn with_config(mut self, config: EstimateConfig) -> Self {
         self.config = config;
@@ -338,7 +302,7 @@ impl FlowEstimator {
         let features = self.extract_features(&loaded, &bits_on, &count_on, &log2_sum, &routed);
         // --- 2. Seeded greedy clustering over normalised features. ---
         let seeds = SeedFactory::new(self.config.seed);
-        let clusters = cluster_links(&features, &self.config, &seeds);
+        let clusters = cluster_links(&features, &seeds);
         // --- 3. One exact replay per representative, fanned out. -----
         let jobs: Vec<RepJob> = clusters
             .iter()
@@ -394,7 +358,7 @@ impl FlowEstimator {
                 }
                 // Blend between the fluid-model bottleneck rule (max)
                 // and additive per-hop delay accumulation (sum).
-                let slowdown = 1.0 + max_excess + self.config.blend * (sum_excess - max_excess);
+                let slowdown = 1.0 + max_excess + BLEND * (sum_excess - max_excess);
                 FlowPrediction {
                     start: f.start,
                     size_bits: f.size_bits,
@@ -527,16 +491,12 @@ impl FlowEstimator {
 
 /// Min–max normalises the feature matrix (constant dimensions collapse
 /// to 0), then greedily clusters in a seeded visit order: each resource
-/// joins the first cluster whose representative is within epsilon, else
+/// joins the first cluster whose representative is within `EPSILON`, else
 /// founds a new cluster. The visit order is a Fisher–Yates shuffle from
 /// the `estimate/cluster` stream — deterministic in the seed — and the
 /// output is canonicalised (members ascending, clusters by ascending
 /// representative) so reports are stable.
-fn cluster_links(
-    features: &[LinkFeatures],
-    config: &EstimateConfig,
-    seeds: &SeedFactory,
-) -> Vec<LinkCluster> {
+fn cluster_links(features: &[LinkFeatures], seeds: &SeedFactory) -> Vec<LinkCluster> {
     let n = features.len();
     if n == 0 {
         return Vec::new();
@@ -578,7 +538,7 @@ fn cluster_links(
     for &i in &order {
         let found = reps
             .iter()
-            .position(|&ri| config.metric.distance(&norm[ri], &norm[i]) <= config.epsilon);
+            .position(|&ri| feature_distance(&norm[ri], &norm[i]) <= EPSILON);
         match found {
             Some(ci) => members[ci].push(i),
             None => {
@@ -727,9 +687,8 @@ mod tests {
         let a = [0.0; FEATURE_DIMS];
         let mut b = [0.0; FEATURE_DIMS];
         b[0] = 0.6;
-        assert!(FeatureMetric::MaxRel.distance(&a, &b) - 0.6 < 1e-12);
         // L2 spreads the single-dimension gap across sqrt(d).
-        let l2 = FeatureMetric::NormL2.distance(&a, &b);
+        let l2 = feature_distance(&a, &b);
         assert!((l2 - 0.6 / (FEATURE_DIMS as f64).sqrt()).abs() < 1e-12);
     }
 

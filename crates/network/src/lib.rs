@@ -38,9 +38,7 @@ pub mod topology;
 
 pub use failure::{ConnectivityReport, FailureMask};
 pub use flow::{Flow, FlowId, FlowSpec};
-pub use flowsim::estimate::{
-    EstimateConfig, EstimateOutcome, FeatureMetric, FidelityMode, FlowEstimator,
-};
+pub use flowsim::estimate::{EstimateConfig, EstimateOutcome, FidelityMode, FlowEstimator};
 pub use flowsim::{FlowSimulator, RateAllocator};
 pub use routing::{Router, RoutingPolicy};
 pub use topology::{DeviceId, DeviceKind, Link, LinkId, Topology};

@@ -195,42 +195,13 @@ impl fmt::Display for SeriesKey {
     }
 }
 
-/// The error returned by the fallible registry accessors when creating a
-/// new series would exceed the configured ceiling — the symptom of an
-/// accidental per-flow or per-request label explosion.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CardinalityLimitExceeded {
-    /// The configured series-count ceiling that was hit.
-    pub limit: usize,
-    /// The series whose creation was refused.
-    pub series: SeriesKey,
-}
-
-impl fmt::Display for CardinalityLimitExceeded {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "registry series limit {} reached; refusing to create {}",
-            self.limit, self.series
-        )
-    }
-}
-
-impl std::error::Error for CardinalityLimitExceeded {}
-
 /// A central registry of labeled counter / gauge / histogram series.
 ///
 /// Keys are `(name, labels)`; all maps are `BTreeMap` so iteration — and
 /// therefore every exported snapshot — is deterministic.
-///
-/// An optional **cardinality guard** ([`MetricsRegistry::set_series_limit`])
-/// caps the total series count: the `try_*` accessors return
-/// [`CardinalityLimitExceeded`] instead of silently growing, and the
-/// infallible accessors panic. Unset by default.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     start: SimTime,
-    series_limit: Option<usize>,
     counters: BTreeMap<SeriesKey, Counter>,
     gauges: BTreeMap<SeriesKey, TimeWeightedGauge>,
     histograms: BTreeMap<SeriesKey, Histogram>,
@@ -250,129 +221,27 @@ impl MetricsRegistry {
         self.start
     }
 
-    /// Builder form of [`MetricsRegistry::set_series_limit`].
-    pub fn with_series_limit(mut self, limit: usize) -> Self {
-        self.series_limit = Some(limit);
-        self
-    }
-
-    /// Caps the total series count at `limit` (`None` removes the cap).
-    /// Existing series always stay readable and writable; only *new*
-    /// series creation is refused at the ceiling.
-    pub fn set_series_limit(&mut self, limit: Option<usize>) {
-        self.series_limit = limit;
-    }
-
-    /// The configured series-count ceiling, if any.
-    pub fn series_limit(&self) -> Option<usize> {
-        self.series_limit
-    }
-
-    /// Returns an error if creating one more series (key not present in
-    /// `exists`-check form) would exceed the ceiling.
-    fn admit(&self, key: &SeriesKey, exists: bool) -> Result<(), CardinalityLimitExceeded> {
-        match self.series_limit {
-            Some(limit) if !exists && self.len() >= limit => Err(CardinalityLimitExceeded {
-                limit,
-                series: key.clone(),
-            }),
-            _ => Ok(()),
-        }
-    }
-
     /// The counter series `(name, labels)`, created at zero on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if creating the series would exceed a configured
-    /// [series limit](MetricsRegistry::set_series_limit); use
-    /// [`MetricsRegistry::try_counter`] to handle that as an error.
     pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut Counter {
-        match self.try_counter(name, labels) {
-            Ok(c) => c,
-            #[expect(
-                clippy::panic,
-                reason = "the documented cardinality-guard diagnostic; callers opting into a ceiling who want an error use try_counter"
-            )]
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`MetricsRegistry::counter`]: refuses to create a
-    /// new series past the configured ceiling.
-    pub fn try_counter(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-    ) -> Result<&mut Counter, CardinalityLimitExceeded> {
-        let key = SeriesKey::new(name, labels);
-        self.admit(&key, self.counters.contains_key(&key))?;
-        Ok(self.counters.entry(key).or_default())
+        self.counters
+            .entry(SeriesKey::new(name, labels))
+            .or_default()
     }
 
     /// The gauge series `(name, labels)`, created holding `0.0` on first
     /// use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if creating the series would exceed a configured
-    /// [series limit](MetricsRegistry::set_series_limit); use
-    /// [`MetricsRegistry::try_gauge`] to handle that as an error.
     pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut TimeWeightedGauge {
-        match self.try_gauge(name, labels) {
-            Ok(g) => g,
-            #[expect(
-                clippy::panic,
-                reason = "the documented cardinality-guard diagnostic; callers opting into a ceiling who want an error use try_gauge"
-            )]
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`MetricsRegistry::gauge`]: refuses to create a
-    /// new series past the configured ceiling.
-    pub fn try_gauge(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-    ) -> Result<&mut TimeWeightedGauge, CardinalityLimitExceeded> {
-        let key = SeriesKey::new(name, labels);
-        self.admit(&key, self.gauges.contains_key(&key))?;
         let start = self.start;
-        Ok(self
-            .gauges
-            .entry(key)
-            .or_insert_with(|| TimeWeightedGauge::new(start, 0.0)))
+        self.gauges
+            .entry(SeriesKey::new(name, labels))
+            .or_insert_with(|| TimeWeightedGauge::new(start, 0.0))
     }
 
     /// The histogram series `(name, labels)`, created empty on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if creating the series would exceed a configured
-    /// [series limit](MetricsRegistry::set_series_limit); use
-    /// [`MetricsRegistry::try_histogram`] to handle that as an error.
     pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut Histogram {
-        match self.try_histogram(name, labels) {
-            Ok(h) => h,
-            #[expect(
-                clippy::panic,
-                reason = "the documented cardinality-guard diagnostic; callers opting into a ceiling who want an error use try_histogram"
-            )]
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`MetricsRegistry::histogram`]: refuses to create
-    /// a new series past the configured ceiling.
-    pub fn try_histogram(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-    ) -> Result<&mut Histogram, CardinalityLimitExceeded> {
-        let key = SeriesKey::new(name, labels);
-        self.admit(&key, self.histograms.contains_key(&key))?;
-        Ok(self.histograms.entry(key).or_default())
+        self.histograms
+            .entry(SeriesKey::new(name, labels))
+            .or_default()
     }
 
     /// Read-only lookup of a counter series.
@@ -383,11 +252,6 @@ impl MetricsRegistry {
     /// Read-only lookup of a gauge series.
     pub fn get_gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<&TimeWeightedGauge> {
         self.gauges.get(&SeriesKey::new(name, labels))
-    }
-
-    /// Read-only lookup of a histogram series.
-    pub fn get_histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Histogram> {
-        self.histograms.get(&SeriesKey::new(name, labels))
     }
 
     /// Number of series of all three kinds.
@@ -1052,16 +916,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Same, but the tracer keeps only the most recent `capacity` events.
-    pub fn recording_ring(start: SimTime, capacity: usize) -> Self {
-        TelemetrySink {
-            enabled: true,
-            registry: MetricsRegistry::new(start),
-            tracer: Tracer::ring(capacity),
-            tsdb: None,
-        }
-    }
-
     /// A recording sink that additionally samples every series into a
     /// [`tsdb::TimeSeriesDb`] on the `scrape` grid.
     pub fn recording_with_tsdb(start: SimTime, scrape: tsdb::ScrapeConfig) -> Self {
@@ -1393,33 +1247,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn series_limit_refuses_new_series_but_keeps_existing_writable() {
-        let mut reg = MetricsRegistry::new(SimTime::ZERO).with_series_limit(2);
-        reg.counter("a_total", &[]).add(1);
-        reg.gauge("b", &[]).set(SimTime::ZERO, 1.0);
-        let err = reg
-            .try_counter("c_total", &[("shard", "7")])
-            .expect_err("the third series must be refused");
-        assert_eq!(err.limit, 2);
-        assert_eq!(err.series.name, "c_total");
-        assert!(err.to_string().contains("c_total"), "{err}");
-        assert!(reg.try_histogram("d_seconds", &[]).is_err());
-        // Existing series stay writable at the ceiling; raising the cap
-        // admits new ones again.
-        reg.counter("a_total", &[]).add(1);
-        assert_eq!(reg.get_counter("a_total", &[]).map(Counter::value), Some(2));
-        reg.set_series_limit(None);
-        assert!(reg.try_counter("c_total", &[]).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "series limit")]
-    fn infallible_accessor_panics_at_the_series_ceiling() {
-        let mut reg = MetricsRegistry::new(SimTime::ZERO).with_series_limit(1);
-        reg.gauge("a", &[]).set(SimTime::ZERO, 1.0);
-        reg.gauge("b", &[]).set(SimTime::ZERO, 2.0);
     }
 }
