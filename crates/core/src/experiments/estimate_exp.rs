@@ -9,26 +9,109 @@
 //! the error bound stated in `EXPERIMENTS.md` §S2. Wall-clock speedup is
 //! measured separately in `crates/bench/benches/estimate_sweep.rs`
 //! (simulation crates never read the clock; lint rule D2).
+//!
+//! Every sweep point is one [`Scenario`]: E7's paper fabric at a tier
+//! with E7's traffic mix generated on it, replayed by
+//! [`Scenario::exact`] and estimated by [`Scenario::estimate`].
+//! [`EstimateExperiment::run`], [`sweep`], the bench and
+//! `tests/estimate.rs` all go through it.
 
+pub use super::traffic_exp::LOCALITIES;
+use super::traffic_exp::{paper_fabric, pattern};
 use crate::report::TextTable;
 pub use picloud_network::flowsim::estimate::FidelityMode;
-use picloud_network::flowsim::estimate::{EstimateConfig, FlowEstimator};
+use picloud_network::flowsim::estimate::{EstimateConfig, EstimateOutcome, FlowEstimator};
 use picloud_network::flowsim::partition::default_workers;
 use picloud_network::flowsim::{FlowSimulator, RateAllocator};
 use picloud_network::routing::RoutingPolicy;
-use picloud_network::topology::{LinkRates, Topology};
-use picloud_simcore::units::Bandwidth;
+use picloud_network::topology::Topology;
 use picloud_simcore::{EDist, SeedFactory, SimDuration};
-use picloud_workloads::traffic::TrafficPattern;
+use picloud_workloads::TrafficWorkload;
 use std::fmt;
-
-/// The E7 locality axis of the sweep.
-pub const LOCALITIES: [f64; 5] = [1.0, 0.75, 0.5, 0.25, 0.0];
 
 /// The E14-style oversubscription axis: ToR–aggregation fabric rates in
 /// Mbit/s (access stays at the paper's 100 Mbit). 100 Mbit fabric is
 /// 7:1 rack oversubscription; 800 Mbit is effectively non-blocking.
 pub const FABRIC_TIERS_MBPS: [u64; 4] = [100, 200, 400, 800];
+
+/// Simulated traffic per scenario in the `estimate` report and in
+/// `picloud-cli estimate --fidelity` sweeps.
+pub const HORIZON: SimDuration = SimDuration::from_secs(10);
+
+/// Position of the hardest scenario in [`grid`] order: all-remote
+/// traffic (the last locality) on the tightest fabric (the first tier).
+pub const HARDEST: usize = LOCALITIES.len() - 1;
+
+/// The sweep's `(fabric tier Mbit/s, locality)` pairs, tiers outermost:
+/// the order of [`EstimateExperiment::run`]'s points and [`sweep`]'s
+/// lines.
+pub fn grid() -> impl Iterator<Item = (u64, f64)> {
+    FABRIC_TIERS_MBPS
+        .iter()
+        .flat_map(|&tier| LOCALITIES.iter().map(move |&loc| (tier, loc)))
+}
+
+/// One sweep scenario: the paper fabric at one tier and the E7 traffic
+/// generated on it, ready to run at either fidelity.
+#[derive(Debug)]
+pub struct Scenario {
+    seed: u64,
+    topo: Topology,
+    workload: TrafficWorkload,
+}
+
+impl Scenario {
+    /// Generates `duration` of E7 traffic at `locality` on the paper
+    /// fabric at `fabric_mbps`. `seed` drives the workload and the
+    /// estimator's clustering order.
+    pub fn generate(seed: u64, locality: f64, fabric_mbps: u64, duration: SimDuration) -> Self {
+        let topo = paper_fabric(fabric_mbps);
+        let workload = pattern(locality).generate(&topo, duration, &SeedFactory::new(seed));
+        Scenario {
+            seed,
+            topo,
+            workload,
+        }
+    }
+
+    /// The exact oracle: replays the workload on the max–min fabric with
+    /// `workers` solver threads and returns every flow's FCT, seconds.
+    pub fn exact(&self, workers: usize) -> EDist {
+        let mut sim = FlowSimulator::new(
+            self.topo.clone(),
+            RoutingPolicy::default(),
+            RateAllocator::MaxMin,
+        )
+        .with_workers(workers);
+        #[expect(
+            clippy::expect_used,
+            reason = "the generator draws endpoints from this connected builder topology; no route can be missing"
+        )]
+        self.workload
+            .replay_on(&mut sim)
+            .expect("fabric is connected");
+        sim.run_to_completion();
+        EDist::from_samples(
+            sim.completed()
+                .iter()
+                .map(|c| c.fct().as_secs_f64())
+                .collect(),
+        )
+    }
+
+    /// Estimation mode: clusters the loaded links and predicts every
+    /// flow's FCT, fanning representatives out on `workers` threads.
+    pub fn estimate(&self, workers: usize) -> EstimateOutcome {
+        FlowEstimator::new(
+            self.topo.clone(),
+            RoutingPolicy::default(),
+            RateAllocator::MaxMin,
+        )
+        .with_workers(workers)
+        .with_config(EstimateConfig::seeded(self.seed))
+        .estimate(self.workload.events())
+    }
+}
 
 /// One scenario (locality × fabric tier) at both fidelities.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +154,7 @@ impl EstimatePoint {
 /// The full two-axis sweep at both fidelities, plus aggregates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimateExperiment {
-    /// One point per (fabric tier, locality), tiers outermost.
+    /// One point per (fabric tier, locality), in [`grid`] order.
     pub points: Vec<EstimatePoint>,
     /// Worst median relative error across the sweep.
     pub max_p50_rel_err: f64,
@@ -79,8 +162,8 @@ pub struct EstimateExperiment {
     pub max_p99_rel_err: f64,
     /// Mean loaded-links-per-cluster compression across the sweep.
     pub mean_compression: f64,
-    /// Per-cluster membership sizes for the hardest scenario (locality
-    /// 0 on the tightest fabric tier) — the telemetry membership gauge.
+    /// Per-cluster membership sizes for the [`HARDEST`] scenario — the
+    /// telemetry membership gauge.
     pub hardest_cluster_sizes: Vec<usize>,
 }
 
@@ -90,48 +173,10 @@ impl EstimateExperiment {
     /// within this of the exact oracle on every sweep scenario.
     pub const P99_ERROR_BOUND: f64 = 0.45;
 
-    /// Runs one scenario at both fidelities and compares.
-    pub fn scenario(
-        locality: f64,
-        fabric: Bandwidth,
-        duration: SimDuration,
-        seeds: &SeedFactory,
-        seed: u64,
-    ) -> EstimatePoint {
-        let rates = LinkRates {
-            access: Bandwidth::mbps(100),
-            fabric,
-        };
-        let topo = Topology::multi_root_tree_with(4, 14, 2, rates);
-        let pattern = TrafficPattern::measured_dc()
-            .with_arrival_rate(10.0)
-            .with_intra_rack_fraction(locality);
-        let workload = pattern.generate(&topo, duration, seeds);
-        // Exact oracle.
-        let mut sim = FlowSimulator::new(
-            topo.clone(),
-            RoutingPolicy::default(),
-            RateAllocator::MaxMin,
-        )
-        .with_workers(default_workers());
-        #[expect(
-            clippy::expect_used,
-            reason = "the generator draws endpoints from this connected builder topology; no route can be missing"
-        )]
-        workload.replay_on(&mut sim).expect("fabric is connected");
-        sim.run_to_completion();
-        let exact = EDist::from_samples(
-            sim.completed()
-                .iter()
-                .map(|c| c.fct().as_secs_f64())
-                .collect(),
-        );
-        // Estimation mode over the same workload.
-        let est = FlowEstimator::new(topo, RoutingPolicy::default(), RateAllocator::MaxMin)
-            .with_workers(default_workers())
-            .with_config(EstimateConfig::seeded(seed));
-        let out = est.estimate(workload.events());
-        let est_dist = out.fct_dist();
+    /// Runs the full sweep: every fabric tier × every locality, each
+    /// scenario generated once and run at both fidelities.
+    pub fn run(seed: u64, duration: SimDuration) -> EstimateExperiment {
+        let workers = default_workers();
         let rel = |e: f64, x: f64| {
             if x > 0.0 {
                 (e - x).abs() / x
@@ -139,58 +184,33 @@ impl EstimateExperiment {
                 0.0
             }
         };
-        let (exact_p50, exact_p99) = (exact.quantile(0.5), exact.quantile(0.99));
-        let (est_p50, est_p99) = (est_dist.quantile(0.5), est_dist.quantile(0.99));
-        EstimatePoint {
-            locality,
-            fabric_mbps: fabric.as_bps() / 1_000_000,
-            flows: out.predictions.len(),
-            exact_p50_secs: exact_p50,
-            exact_p99_secs: exact_p99,
-            est_p50_secs: est_p50,
-            est_p99_secs: est_p99,
-            p50_rel_err: rel(est_p50, exact_p50),
-            p99_rel_err: rel(est_p99, exact_p99),
-            loaded_links: out.loaded_resources,
-            clusters: out.cluster_count(),
-            rep_flows: out.rep_flows_solved,
-        }
-    }
-
-    /// Runs the full sweep: every fabric tier × every locality.
-    pub fn run(seed: u64, duration: SimDuration) -> EstimateExperiment {
-        let seeds = SeedFactory::new(seed);
         let mut points = Vec::with_capacity(FABRIC_TIERS_MBPS.len() * LOCALITIES.len());
-        for &tier in &FABRIC_TIERS_MBPS {
-            for &loc in &LOCALITIES {
-                points.push(EstimateExperiment::scenario(
-                    loc,
-                    Bandwidth::mbps(tier),
-                    duration,
-                    &seeds,
-                    seed,
-                ));
+        let mut hardest_cluster_sizes = Vec::new();
+        for (fabric_mbps, locality) in grid() {
+            let scenario = Scenario::generate(seed, locality, fabric_mbps, duration);
+            let exact = scenario.exact(workers);
+            let out = scenario.estimate(workers);
+            if points.len() == HARDEST {
+                hardest_cluster_sizes = out.clusters.iter().map(|c| c.members.len()).collect();
             }
+            let est = out.fct_dist();
+            let (exact_p50, exact_p99) = (exact.quantile(0.5), exact.quantile(0.99));
+            let (est_p50, est_p99) = (est.quantile(0.5), est.quantile(0.99));
+            points.push(EstimatePoint {
+                locality,
+                fabric_mbps,
+                flows: out.predictions.len(),
+                exact_p50_secs: exact_p50,
+                exact_p99_secs: exact_p99,
+                est_p50_secs: est_p50,
+                est_p99_secs: est_p99,
+                p50_rel_err: rel(est_p50, exact_p50),
+                p99_rel_err: rel(est_p99, exact_p99),
+                loaded_links: out.loaded_resources,
+                clusters: out.cluster_count(),
+                rep_flows: out.rep_flows_solved,
+            });
         }
-        // The membership breakdown telemetry reports: the hardest
-        // scenario is all-remote traffic on the tightest fabric.
-        let hardest = {
-            let rates = LinkRates {
-                access: Bandwidth::mbps(100),
-                // FABRIC_TIERS_MBPS is a non-empty const array; index 0 always exists
-                fabric: Bandwidth::mbps(FABRIC_TIERS_MBPS[0]),
-            };
-            let topo = Topology::multi_root_tree_with(4, 14, 2, rates);
-            let pattern = TrafficPattern::measured_dc()
-                .with_arrival_rate(10.0)
-                .with_intra_rack_fraction(0.0);
-            let workload = pattern.generate(&topo, duration, &seeds);
-            let est = FlowEstimator::new(topo, RoutingPolicy::default(), RateAllocator::MaxMin)
-                .with_workers(default_workers())
-                .with_config(EstimateConfig::seeded(seed));
-            let out = est.estimate(workload.events());
-            out.clusters.iter().map(|c| c.members.len()).collect()
-        };
         let max_p50 = points.iter().map(|p| p.p50_rel_err).fold(0.0, f64::max);
         let max_p99 = points.iter().map(|p| p.p99_rel_err).fold(0.0, f64::max);
         let mean_compression =
@@ -200,7 +220,7 @@ impl EstimateExperiment {
             max_p50_rel_err: max_p50,
             max_p99_rel_err: max_p99,
             mean_compression,
-            hardest_cluster_sizes: hardest,
+            hardest_cluster_sizes,
         }
     }
 }
@@ -230,72 +250,37 @@ pub struct SweepLine {
 /// fabric per scenario; estimate runs the clustering pipeline. Both are
 /// byte-deterministic for a fixed `(mode, seed, duration)`.
 pub fn sweep(mode: FidelityMode, seed: u64, duration: SimDuration) -> Vec<SweepLine> {
-    let seeds = SeedFactory::new(seed);
-    let mut lines = Vec::with_capacity(FABRIC_TIERS_MBPS.len() * LOCALITIES.len());
-    for &tier in &FABRIC_TIERS_MBPS {
-        for &loc in &LOCALITIES {
-            let rates = LinkRates {
-                access: Bandwidth::mbps(100),
-                fabric: Bandwidth::mbps(tier),
-            };
-            let topo = Topology::multi_root_tree_with(4, 14, 2, rates);
-            let pattern = TrafficPattern::measured_dc()
-                .with_arrival_rate(10.0)
-                .with_intra_rack_fraction(loc);
-            let workload = pattern.generate(&topo, duration, &seeds);
-            let line = match mode {
-                FidelityMode::Exact => {
-                    let mut sim =
-                        FlowSimulator::new(topo, RoutingPolicy::default(), RateAllocator::MaxMin)
-                            .with_workers(default_workers());
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the generator draws endpoints from this connected builder topology; no route can be missing"
-                    )]
-                    workload.replay_on(&mut sim).expect("fabric is connected");
-                    sim.run_to_completion();
-                    let d = EDist::from_samples(
-                        sim.completed()
-                            .iter()
-                            .map(|c| c.fct().as_secs_f64())
-                            .collect(),
-                    );
-                    SweepLine {
-                        locality: loc,
-                        fabric_mbps: tier,
-                        flows: d.len(),
-                        p50_secs: d.quantile(0.5),
-                        p99_secs: d.quantile(0.99),
-                        clusters: None,
-                        rep_flows: None,
-                    }
-                }
+    let workers = default_workers();
+    grid()
+        .map(|(fabric_mbps, locality)| {
+            let scenario = Scenario::generate(seed, locality, fabric_mbps, duration);
+            let (fcts, clusters, rep_flows) = match mode {
+                FidelityMode::Exact => (scenario.exact(workers), None, None),
                 FidelityMode::Estimate => {
-                    let est =
-                        FlowEstimator::new(topo, RoutingPolicy::default(), RateAllocator::MaxMin)
-                            .with_workers(default_workers())
-                            .with_config(EstimateConfig::seeded(seed));
-                    let out = est.estimate(workload.events());
-                    let d = out.fct_dist();
-                    SweepLine {
-                        locality: loc,
-                        fabric_mbps: tier,
-                        flows: out.predictions.len(),
-                        p50_secs: d.quantile(0.5),
-                        p99_secs: d.quantile(0.99),
-                        clusters: Some(out.cluster_count()),
-                        rep_flows: Some(out.rep_flows_solved),
-                    }
+                    let out = scenario.estimate(workers);
+                    (
+                        out.fct_dist(),
+                        Some(out.cluster_count()),
+                        Some(out.rep_flows_solved),
+                    )
                 }
             };
-            lines.push(line);
-        }
-    }
-    lines
+            SweepLine {
+                locality,
+                fabric_mbps,
+                flows: fcts.len(),
+                p50_secs: fcts.quantile(0.5),
+                p99_secs: fcts.quantile(0.99),
+                clusters,
+                rep_flows,
+            }
+        })
+        .collect()
 }
 
 /// Renders sweep lines as JSONL (one scenario per line, keys in a fixed
-/// order) — the artifact the CI determinism gate `cmp`s across runs.
+/// order) — the artifact the CI determinism gate `cmp`s against
+/// `tests/golden`.
 pub fn sweep_jsonl(mode: FidelityMode, seed: u64, lines: &[SweepLine]) -> String {
     let mut out = String::new();
     for l in lines {

@@ -13,6 +13,7 @@ use super::{
     placement_exp::PlacementExperiment, power::PowerExperiment, recovery_exp::RecoveryExperiment,
     sdn_exp::SdnExperiment, sla_exp::SlaExperiment, table1::Table1, traffic_exp::TrafficExperiment,
 };
+use super::{estimate_exp, traffic_exp};
 use crate::PiCloud;
 use picloud_mgmt::panel::ControlPanel;
 use picloud_network::flowsim::RateAllocator;
@@ -22,7 +23,6 @@ use picloud_simcore::telemetry::tsdb::ScrapeConfig;
 use picloud_simcore::telemetry::TelemetrySink;
 use picloud_simcore::{SeedFactory, SimDuration, SimTime, SpanContext};
 use picloud_workloads::mapreduce::MapReduceJob;
-use picloud_workloads::traffic::TrafficPattern;
 use picloud_workloads::websim::{self, WebSimConfig};
 
 /// One experiment of the suite. Entries are plain data: every behaviour
@@ -229,7 +229,7 @@ pub static REGISTRY: &[Experiment] = &[
         id: "estimate",
         alias: Some("s2"),
         title: "S2: estimation mode (link clustering) vs the exact oracle",
-        report: |seed| EstimateExperiment::run(seed, SimDuration::from_secs(10)).to_string(),
+        report: |seed| EstimateExperiment::run(seed, estimate_exp::HORIZON).to_string(),
         scrape_every: ScrapeConfig::DEFAULT_INTERVAL,
         collect: Collect::Summary(record_estimate),
     },
@@ -430,14 +430,10 @@ fn record_traffic(seed: u64, sink: &mut TelemetrySink) -> SimTime {
     // One fully remote (0 % locality) replay observed live: the
     // congested case whose uplink hot-spots the windowed
     // utilisation queries should resolve.
-    let p = TrafficPattern::measured_dc()
-        .with_arrival_rate(10.0)
-        .with_intra_rack_fraction(0.0);
-    let seeds = SeedFactory::new(seed);
-    TrafficExperiment::replay_live(
-        &p,
+    TrafficExperiment::replay(
+        &traffic_exp::pattern(0.0),
         SimDuration::from_secs(30),
-        &seeds,
+        &SeedFactory::new(seed),
         RateAllocator::MaxMin,
         sink,
     );

@@ -6,8 +6,13 @@
 //! their utilisation rises, and flow completion times stretch. The
 //! rate-allocator ablation (max–min vs equal-share) runs on the hardest
 //! setting.
+//!
+//! The fabric builder (`paper_fabric`), the traffic mix (`pattern`) and
+//! the locality axis ([`LOCALITIES`]) are shared with S2
+//! (`estimate_exp`), which replays the same mix across fabric tiers.
 
 use crate::report::TextTable;
+use picloud_network::flowsim::partition::default_workers;
 use picloud_network::flowsim::{FlowSimulator, RateAllocator};
 use picloud_network::routing::RoutingPolicy;
 use picloud_network::topology::{DeviceKind, LinkRates, Topology};
@@ -16,6 +21,33 @@ use picloud_simcore::units::Bandwidth;
 use picloud_simcore::{SeedFactory, SimDuration, SimTime};
 use picloud_workloads::traffic::TrafficPattern;
 use std::fmt;
+
+/// The locality axis: intra-rack traffic fractions, most local first.
+pub const LOCALITIES: [f64; 5] = [1.0, 0.75, 0.5, 0.25, 0.0];
+
+/// E7's ToR–aggregation link rate, Mbit/s. 2013 commodity switching
+/// gives ~200 Mbit of uplink budget per ToR–aggregation link: the 3.5:1
+/// rack oversubscription that makes locality matter (VL2 reports 5:1 to
+/// 20:1 in practice).
+const FABRIC_MBPS: u64 = 200;
+
+/// The paper fabric, `multi_root_tree(4, 14, 2)`: 100 Mbit host access
+/// and `fabric_mbps` on every ToR–aggregation link.
+pub(crate) fn paper_fabric(fabric_mbps: u64) -> Topology {
+    let rates = LinkRates {
+        access: Bandwidth::mbps(100),
+        fabric: Bandwidth::mbps(fabric_mbps),
+    };
+    Topology::multi_root_tree_with(4, 14, 2, rates)
+}
+
+/// The E7 traffic mix: the measured-DC pattern at 10 flow arrivals per
+/// host-second while ON, with `locality` of the flows kept in their rack.
+pub(crate) fn pattern(locality: f64) -> TrafficPattern {
+    TrafficPattern::measured_dc()
+        .with_arrival_rate(10.0)
+        .with_intra_rack_fraction(locality)
+}
 
 /// One locality setting's result.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,67 +78,35 @@ pub struct TrafficExperiment {
 }
 
 impl TrafficExperiment {
-    /// Replays `pattern` for `duration` on a fresh paper fabric and
-    /// summarises.
+    /// Replays `pattern` for `duration` on a fresh paper fabric with
+    /// 200 Mbit ToR–aggregation links and summarises.
+    ///
+    /// When `sink` has a tsdb, the fabric steps along its scrape grid: at
+    /// every grid instant the solver pauses,
+    /// [`FlowSimulator::record_telemetry`] refreshes the link and flow
+    /// series in `sink`'s registry, and the tsdb scrapes them — so
+    /// windowed queries over `network_link_utilisation` and friends see
+    /// the congestion unfold. Without a tsdb there is no grid. Flow
+    /// completions are processed at their exact instants either way and
+    /// the run ends at the last completion, so a grid changes the summary
+    /// only by floating-point accumulation order.
     pub fn replay(
-        pattern: &TrafficPattern,
-        duration: SimDuration,
-        seeds: &SeedFactory,
-        allocator: RateAllocator,
-    ) -> TrafficPoint {
-        // 2013 commodity switching: 100 Mbit access, ~200 Mbit uplink
-        // budget per ToR-aggregation link — the 3.5:1 rack oversubscription
-        // that makes locality matter (VL2 reports 5:1 to 20:1 in practice).
-        let rates = LinkRates {
-            access: Bandwidth::mbps(100),
-            fabric: Bandwidth::mbps(200),
-        };
-        let topo = Topology::multi_root_tree_with(4, 14, 2, rates);
-        let workload = pattern.generate(&topo, duration, seeds);
-        // Batched replay + the partitioned solver: same bits at any
-        // worker count, so the pool size can come from the environment.
-        let mut sim = FlowSimulator::new(topo, RoutingPolicy::default(), allocator)
-            .with_workers(picloud_network::flowsim::partition::default_workers());
-        #[expect(
-            clippy::expect_used,
-            reason = "the generator draws endpoints from this connected builder topology; no route can be missing"
-        )]
-        workload.replay_on(&mut sim).expect("fabric is connected");
-        sim.run_to_completion();
-        TrafficExperiment::summarise(&sim, pattern.intra_rack_fraction)
-    }
-
-    /// Replays `pattern` like [`TrafficExperiment::replay`], but steps
-    /// the fabric along the telemetry scrape grid: at every grid
-    /// instant the solver pauses, [`FlowSimulator::record_telemetry`]
-    /// refreshes the link and flow series in `sink`'s registry, and the
-    /// sink's tsdb scrapes them — so windowed queries over
-    /// `network_link_utilisation` and friends see the congestion
-    /// unfold. The grid interval comes from the sink's tsdb (1 s when
-    /// absent). Flow completions are still processed at their exact
-    /// instants and the run ends at the last completion, so the
-    /// returned summary matches [`TrafficExperiment::replay`]'s up to
-    /// floating-point accumulation order.
-    pub fn replay_live(
         pattern: &TrafficPattern,
         duration: SimDuration,
         seeds: &SeedFactory,
         allocator: RateAllocator,
         sink: &mut TelemetrySink,
     ) -> TrafficPoint {
-        let rates = LinkRates {
-            access: Bandwidth::mbps(100),
-            fabric: Bandwidth::mbps(200),
-        };
-        let topo = Topology::multi_root_tree_with(4, 14, 2, rates);
+        let topo = paper_fabric(FABRIC_MBPS);
         let workload = pattern.generate(&topo, duration, seeds);
+        // Batched replay + the partitioned solver: same bits at any
+        // worker count, so the pool size can come from the environment.
         let mut sim = FlowSimulator::new(topo, RoutingPolicy::default(), allocator)
-            .with_workers(picloud_network::flowsim::partition::default_workers());
-        let interval = sink
-            .tsdb()
-            .map(|db| db.interval())
-            .unwrap_or_else(|| SimDuration::from_secs(1));
-        let mut next_scrape = SimTime::ZERO;
+            .with_workers(default_workers());
+        let (mut next_scrape, interval) = match sink.tsdb() {
+            Some(db) => (SimTime::ZERO, db.interval()),
+            None => (SimTime::MAX, SimDuration::MAX),
+        };
         let observe = |sim: &FlowSimulator, sink: &mut TelemetrySink, at: SimTime| {
             if sink.is_enabled() {
                 sim.record_telemetry(&mut sink.registry);
@@ -135,7 +135,7 @@ impl TrafficExperiment {
         // Drain phase: keep pausing at grid instants until the last
         // flow finishes, then stop at its exact completion instant (as
         // `run_to_completion` would) so the time-weighted utilisation
-        // means cover the same span as the unobserved replay.
+        // means cover the same span with or without a grid.
         loop {
             match sim.next_completion_time() {
                 None => break,
@@ -193,24 +193,30 @@ impl TrafficExperiment {
         }
     }
 
-    /// Runs the locality sweep `{1.0, 0.75, 0.5, 0.25, 0.0}` plus the
-    /// allocator ablation at locality 0.
+    /// Runs the locality sweep over [`LOCALITIES`] plus the allocator
+    /// ablation at locality 0.
     pub fn run(seed: u64, duration: SimDuration) -> TrafficExperiment {
         let seeds = SeedFactory::new(seed);
-        let base = TrafficPattern::measured_dc().with_arrival_rate(10.0);
-        let points: Vec<TrafficPoint> = [1.0, 0.75, 0.5, 0.25, 0.0]
+        let replay = |locality, allocator| {
+            let mut unobserved = TelemetrySink::disabled();
+            TrafficExperiment::replay(
+                &pattern(locality),
+                duration,
+                &seeds,
+                allocator,
+                &mut unobserved,
+            )
+        };
+        let points: Vec<TrafficPoint> = LOCALITIES
             .iter()
-            .map(|&loc| {
-                let p = base.clone().with_intra_rack_fraction(loc);
-                TrafficExperiment::replay(&p, duration, &seeds, RateAllocator::MaxMin)
-            })
+            .map(|&loc| replay(loc, RateAllocator::MaxMin))
             .collect();
-        let hard = base.with_intra_rack_fraction(0.0);
-        let maxmin = TrafficExperiment::replay(&hard, duration, &seeds, RateAllocator::MaxMin);
-        let equal = TrafficExperiment::replay(&hard, duration, &seeds, RateAllocator::EqualShare);
+        // The ablation's max–min side is the last (locality 0) point.
+        let maxmin_mean_fct = points.last().map_or(0.0, |p| p.mean_fct_secs);
+        let equal = replay(0.0, RateAllocator::EqualShare);
         TrafficExperiment {
             points,
-            maxmin_mean_fct: maxmin.mean_fct_secs,
+            maxmin_mean_fct,
             equal_share_mean_fct: equal.mean_fct_secs,
         }
     }
@@ -292,6 +298,11 @@ mod tests {
             e.maxmin_mean_fct,
             e.equal_share_mean_fct
         );
+        // The max–min side is the locality-0 point of the sweep itself.
+        assert_eq!(
+            e.maxmin_mean_fct.to_bits(),
+            e.points.last().unwrap().mean_fct_secs.to_bits()
+        );
     }
 
     #[test]
@@ -306,13 +317,14 @@ mod tests {
         let p = TrafficPattern::measured_dc().with_arrival_rate(10.0);
         let seeds = SeedFactory::new(9);
         let dur = SimDuration::from_secs(10);
-        let plain = TrafficExperiment::replay(&p, dur, &seeds, RateAllocator::MaxMin);
+        let mut unobserved = TelemetrySink::disabled();
+        let plain =
+            TrafficExperiment::replay(&p, dur, &seeds, RateAllocator::MaxMin, &mut unobserved);
         let mut sink = TelemetrySink::recording_with_tsdb(
             SimTime::ZERO,
             picloud_simcore::telemetry::tsdb::ScrapeConfig::every(SimDuration::from_secs(1)),
         );
-        let live =
-            TrafficExperiment::replay_live(&p, dur, &seeds, RateAllocator::MaxMin, &mut sink);
+        let live = TrafficExperiment::replay(&p, dur, &seeds, RateAllocator::MaxMin, &mut sink);
         assert_eq!(live.flows, plain.flows);
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0);
         assert!(
@@ -344,7 +356,7 @@ mod tests {
                 SimTime::ZERO,
                 picloud_simcore::telemetry::tsdb::ScrapeConfig::every(SimDuration::from_secs(1)),
             );
-            let pt = TrafficExperiment::replay_live(
+            let pt = TrafficExperiment::replay(
                 &p,
                 SimDuration::from_secs(10),
                 &SeedFactory::new(5),

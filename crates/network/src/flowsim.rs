@@ -600,11 +600,6 @@ impl FlowSimulator {
         std::mem::take(&mut self.completed)
     }
 
-    /// The scope of each rate recomputation (incremental by default).
-    pub fn recompute_mode(&self) -> RecomputeMode {
-        self.mode
-    }
-
     /// Switches between the incremental solver and the from-scratch
     /// oracle. The two are bit-for-bit equivalent, so this only affects
     /// speed; it may be flipped at any recomputation boundary.

@@ -19,7 +19,7 @@ use crate::flowtable::{Action, FlowKey, FlowRule, MatchFields};
 use crate::switch::OpenFlowSwitch;
 use picloud_network::graph;
 use picloud_network::topology::{DeviceId, LinkId, Topology};
-use picloud_simcore::telemetry::{MetricsRegistry, Tracer};
+use picloud_simcore::telemetry::Tracer;
 use picloud_simcore::{SimDuration, SimTime, SpanContext};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -166,34 +166,6 @@ impl SdnController {
     /// Links currently considered failed.
     pub fn dead_link_count(&self) -> usize {
         self.dead_links.len()
-    }
-
-    /// Records the control plane's telemetry into `reg` at the
-    /// controller's current instant: per-switch flow-table occupancy
-    /// (`sdn_flowtable_rules{device}`), eviction and miss/hit counts
-    /// (misses are exactly the reactive controller round-trips), plus
-    /// cluster-wide totals for installed rules, lifetime installs and
-    /// links known dead.
-    pub fn record_telemetry(&self, reg: &mut MetricsRegistry) {
-        let now = self.now;
-        for (dev, sw) in &self.switches {
-            let id = dev.0.to_string();
-            let labels = [("device", id.as_str())];
-            reg.gauge("sdn_flowtable_rules", &labels)
-                .set(now, sw.table().len() as f64);
-            reg.gauge("sdn_flowtable_evictions", &labels)
-                .set(now, sw.table().evictions() as f64);
-            let miss = reg.counter("sdn_controller_round_trips_total", &labels);
-            miss.add(sw.misses() - miss.value());
-            let hits = reg.counter("sdn_switch_hits_total", &labels);
-            hits.add(sw.hits() - hits.value());
-        }
-        reg.gauge("sdn_total_rules", &[])
-            .set(now, self.total_rules() as f64);
-        reg.gauge("sdn_dead_links", &[])
-            .set(now, self.dead_link_count() as f64);
-        let installs = reg.counter("sdn_rule_installs_total", &[]);
-        installs.add(self.total_rule_installs - installs.value());
     }
 
     /// Routes one flow from `src` to `dst`, installing rules as the mode

@@ -55,16 +55,6 @@ impl EDist {
         &self.samples
     }
 
-    /// Smallest sample, or `default` when empty.
-    pub fn min_or(&self, default: f64) -> f64 {
-        self.samples.first().copied().unwrap_or(default)
-    }
-
-    /// Largest sample, or `default` when empty.
-    pub fn max_or(&self, default: f64) -> f64 {
-        self.samples.last().copied().unwrap_or(default)
-    }
-
     /// Arithmetic mean, or `0.0` when empty.
     ///
     /// Summation runs in ascending sample order, so the float

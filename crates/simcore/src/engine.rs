@@ -197,11 +197,6 @@ impl<W> Engine<W> {
         &self.world
     }
 
-    /// Exclusive access to the world state (between events).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the engine, returning the final world state.
     pub fn into_world(self) -> W {
         self.world

@@ -77,12 +77,6 @@ impl OutageLedger {
         }
     }
 
-    /// The paper's lighttpd serving static pages: a modest 25 req/s per
-    /// container.
-    pub fn lighttpd_default() -> Self {
-        OutageLedger::new(25.0)
-    }
-
     /// The per-container request rate.
     pub fn rate_hz(&self) -> f64 {
         self.rate_hz

@@ -44,24 +44,24 @@
 //! for bit-for-bit replay. See `FAULTS.md` for the rule book.
 //!
 //! `estimate` drives the S2 fidelity study: with no flags it prints the
-//! comparison table (exact oracle vs the Parsimon-style clustering
-//! estimator over the locality × oversubscription sweep); with
-//! `--fidelity exact|estimate` it runs the sweep at that single fidelity
-//! and emits a byte-deterministic JSONL report (the CI determinism gate
-//! runs it twice and `cmp`s). See `EXPERIMENTS.md` §S2.
+//! registry's `estimate` report (exact oracle vs the Parsimon-style
+//! clustering estimator over the locality × oversubscription sweep);
+//! with `--fidelity exact|estimate` it runs the sweep at that single
+//! fidelity and emits a byte-deterministic JSONL report (CI `cmp`s it
+//! against `tests/golden`). See `EXPERIMENTS.md` §S2.
 
-use picloud::experiments::{self, estimate_exp, estimate_exp::EstimateExperiment, fig4::Fig4};
+use picloud::experiments::{self, estimate_exp, fig4::Fig4};
 use picloud::telemetry::ExperimentTelemetry;
 use picloud_simcore::telemetry::slo::{AlertSeverity, Verdict};
 use picloud_simcore::telemetry::tsdb::QueryFn;
 use picloud_simcore::SimDuration;
 use std::process::ExitCode;
 
-/// Runs the `estimate` target. Without `--fidelity` it prints the S2
-/// comparison table (both fidelities, relative errors, compression).
+/// Runs the `estimate` target. Without `--fidelity` it prints the
+/// registry's S2 report (both fidelities, relative errors, compression).
 /// With `--fidelity exact|estimate` it runs the sweep at that single
 /// fidelity and emits the per-scenario JSONL report — the artifact the
-/// CI determinism gate runs twice and `cmp`s byte-for-byte.
+/// CI determinism gate `cmp`s byte-for-byte against `tests/golden`.
 fn run_estimate_cmd(
     seed: u64,
     fidelity: Option<&str>,
@@ -69,15 +69,20 @@ fn run_estimate_cmd(
     out: Option<&str>,
 ) -> bool {
     use estimate_exp::FidelityMode;
-    let duration = SimDuration::from_secs(10);
     let text = match fidelity {
-        None => format!("{}", EstimateExperiment::run(seed, duration)),
+        None => {
+            let Some(s2) = experiments::find("estimate") else {
+                eprintln!("the experiment registry has no 'estimate' entry");
+                return false;
+            };
+            (s2.report)(seed)
+        }
         Some(spec) => {
             let Some(mode) = FidelityMode::parse(spec) else {
                 eprintln!("unknown --fidelity '{spec}' (exact, estimate)");
                 return false;
             };
-            let lines = estimate_exp::sweep(mode, seed, duration);
+            let lines = estimate_exp::sweep(mode, seed, estimate_exp::HORIZON);
             match format.unwrap_or("jsonl") {
                 "jsonl" => estimate_exp::sweep_jsonl(mode, seed, &lines),
                 other => {

@@ -1,6 +1,6 @@
 //! Acceptance tests for the estimation mode (`flowsim::estimate`).
 //!
-//! Two claims from EXPERIMENTS.md §S2 are pinned here:
+//! Three claims from EXPERIMENTS.md §S2 are pinned here:
 //!
 //! 1. **Accuracy** — across the E7 locality × oversubscription sweep,
 //!    the estimator's predicted p99 FCT stays within the documented
@@ -10,15 +10,13 @@
 //!    `(topology, workload, seed)`: byte-identical serialised outcomes
 //!    across repeated runs and across worker counts (1 vs 8), so the
 //!    fan-out pool can never leak scheduling order into results.
+//! 3. **One pipeline** — the two-fidelity report and the single-fidelity
+//!    sweeps run the same scenarios and agree bit for bit.
 
-use picloud::experiments::estimate_exp::{self, EstimateExperiment, FidelityMode};
-use picloud_network::flowsim::estimate::{EstimateConfig, FlowEstimator};
-use picloud_network::flowsim::RateAllocator;
-use picloud_network::routing::RoutingPolicy;
-use picloud_network::topology::{LinkRates, Topology};
-use picloud_simcore::units::Bandwidth;
-use picloud_simcore::{SeedFactory, SimDuration};
-use picloud_workloads::traffic::TrafficPattern;
+use picloud::experiments::estimate_exp::{
+    self, EstimateExperiment, FidelityMode, Scenario, FABRIC_TIERS_MBPS, HARDEST, LOCALITIES,
+};
+use picloud_simcore::SimDuration;
 use proptest::prelude::*;
 
 #[test]
@@ -38,6 +36,48 @@ fn p99_error_within_documented_bound_on_the_sweep() {
         // The bound must not be trivially loose either: the estimator
         // is an estimator, so *some* scenario shows measurable error.
         assert!(e.max_p99_rel_err > 0.0, "seed {seed}: suspiciously exact");
+        // The membership gauge describes the hardest scenario's own
+        // clusters: one size per cluster, covering every loaded link.
+        let hardest = &e.points[HARDEST];
+        assert_eq!((hardest.fabric_mbps, hardest.locality), (100, 0.0));
+        assert_eq!(
+            e.hardest_cluster_sizes.len(),
+            hardest.clusters,
+            "seed {seed}"
+        );
+        assert_eq!(
+            e.hardest_cluster_sizes.iter().sum::<usize>(),
+            hardest.loaded_links,
+            "seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn the_report_agrees_with_both_single_fidelity_sweeps() {
+    // `run` and `sweep` build and replay the same scenarios, so each
+    // report point carries the exact line's and the estimate line's
+    // figures bit for bit.
+    let (seed, d) = (7, SimDuration::from_secs(2));
+    let e = EstimateExperiment::run(seed, d);
+    let exact = estimate_exp::sweep(FidelityMode::Exact, seed, d);
+    let est = estimate_exp::sweep(FidelityMode::Estimate, seed, d);
+    assert_eq!(e.points.len(), exact.len());
+    assert_eq!(e.points.len(), est.len());
+    for ((p, x), y) in e.points.iter().zip(&exact).zip(&est) {
+        let at = (p.fabric_mbps, p.locality.to_bits());
+        assert_eq!(at, (x.fabric_mbps, x.locality.to_bits()));
+        assert_eq!(at, (y.fabric_mbps, y.locality.to_bits()));
+        assert_eq!([x.flows, y.flows], [p.flows; 2], "at {at:?}");
+        assert_eq!(p.exact_p50_secs.to_bits(), x.p50_secs.to_bits());
+        assert_eq!(p.exact_p99_secs.to_bits(), x.p99_secs.to_bits());
+        assert_eq!(p.est_p50_secs.to_bits(), y.p50_secs.to_bits());
+        assert_eq!(p.est_p99_secs.to_bits(), y.p99_secs.to_bits());
+        assert_eq!((x.clusters, x.rep_flows), (None, None));
+        assert_eq!(
+            (y.clusters, y.rep_flows),
+            (Some(p.clusters), Some(p.rep_flows))
+        );
     }
 }
 
@@ -54,24 +94,6 @@ fn single_fidelity_sweep_jsonl_is_byte_deterministic() {
     );
 }
 
-/// One estimation run on a seeded E7-style workload, serialised.
-fn outcome_json(seed: u64, locality: f64, fabric_mbps: u64, workers: usize) -> String {
-    let rates = LinkRates {
-        access: Bandwidth::mbps(100),
-        fabric: Bandwidth::mbps(fabric_mbps),
-    };
-    let topo = Topology::multi_root_tree_with(4, 14, 2, rates);
-    let pattern = TrafficPattern::measured_dc()
-        .with_arrival_rate(10.0)
-        .with_intra_rack_fraction(locality);
-    let workload = pattern.generate(&topo, SimDuration::from_secs(2), &SeedFactory::new(seed));
-    let est = FlowEstimator::new(topo, RoutingPolicy::default(), RateAllocator::MaxMin)
-        .with_workers(workers)
-        .with_config(EstimateConfig::seeded(seed));
-    let out = est.estimate(workload.events());
-    serde_json::to_string(&out).expect("outcome serialises")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -81,14 +103,21 @@ proptest! {
     #[test]
     fn estimation_is_pure_in_topology_workload_seed(
         seed in 0u64..1_000,
-        loc_step in 0usize..5,
-        tier_idx in 0usize..4,
+        loc_step in 0usize..LOCALITIES.len(),
+        tier_idx in 0usize..FABRIC_TIERS_MBPS.len(),
     ) {
-        let locality = [1.0, 0.75, 0.5, 0.25, 0.0][loc_step];
-        let fabric = [100u64, 200, 400, 800][tier_idx];
-        let serial = outcome_json(seed, locality, fabric, 1);
-        let again = outcome_json(seed, locality, fabric, 1);
-        let pooled = outcome_json(seed, locality, fabric, 8);
+        let scenario = Scenario::generate(
+            seed,
+            LOCALITIES[loc_step],
+            FABRIC_TIERS_MBPS[tier_idx],
+            SimDuration::from_secs(2),
+        );
+        let json = |workers| {
+            serde_json::to_string(&scenario.estimate(workers)).expect("outcome serialises")
+        };
+        let serial = json(1);
+        let again = json(1);
+        let pooled = json(8);
         prop_assert_eq!(&serial, &again, "re-run diverged");
         prop_assert_eq!(&serial, &pooled, "worker count leaked into results");
     }
