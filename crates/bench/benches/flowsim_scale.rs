@@ -10,7 +10,11 @@
 //! inject, per advance step and per completed flow at 80–800 concurrent
 //! flows, and an in-bench guard that a 10× larger population stays
 //! within linear per-op growth (a quadratic-per-op regression lands at
-//! ~100×).
+//! ~100×). A counting global allocator adds the allocation calls per
+//! inject + cancel probe and per advance step (`allocs.*` rows), and an
+//! in-bench gate holds them to at most 12 and 5 at every scale: the
+//! recompute path reuses its solve jobs and scratch, so what is left is
+//! the probe's own spec, id and path vectors plus amortised growth.
 //!
 //! The second section scales past the paper: a 1024-host `fat_tree(16)`
 //! pre-loaded with ≥ 100k active flows, swept over partition
@@ -34,6 +38,69 @@ use picloud_simcore::{SimDuration, SimTime};
 use picloud_workloads::traffic::TrafficPattern;
 
 const LAYER: &str = "network.flowsim";
+
+/// A counting wrapper around the system allocator: while a count is
+/// running, every `alloc`, `alloc_zeroed` and `realloc` call adds one.
+mod allocs {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::Ordering::Relaxed;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+
+    // Statistics only: they publish no other data, so `Relaxed` suffices.
+    static COUNTING: AtomicBool = AtomicBool::new(false);
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+
+    struct Counting;
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
+
+    fn note() {
+        if COUNTING.load(Relaxed) {
+            CALLS.fetch_add(1, Relaxed);
+        }
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the counter only observes
+    // the calls and never touches the memory.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note();
+            // SAFETY: the caller's `alloc` contract is passed on as is.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note();
+            // SAFETY: the caller's `alloc_zeroed` contract is passed on as is.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+            // with this `layout`, as the caller guarantees.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note();
+            // SAFETY: the caller's `realloc` contract is passed on as is.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    /// Allocation calls `run` makes per unit of work it reports (at
+    /// least one unit is counted).
+    pub fn per_unit(run: impl FnOnce() -> u64) -> f64 {
+        CALLS.store(0, Relaxed);
+        COUNTING.store(true, Relaxed);
+        let units = run();
+        COUNTING.store(false, Relaxed);
+        CALLS.load(Relaxed) as f64 / units.max(1) as f64
+    }
+}
+
 /// Seed of the Pareto-mix traffic the 56-host section draws.
 const SEED: u64 = 42;
 const SCALES: [usize; 4] = [80, 160, 320, 800];
@@ -67,45 +134,61 @@ fn loaded_sim(n: usize) -> FlowSimulator {
     sim
 }
 
-/// Per-scale hot-path costs, fastest-round nanos per operation.
+/// Per-scale hot-path costs: fastest-round nanos per operation, and
+/// allocation calls per inject + cancel probe and per advance step.
 struct ScaleRow {
     active: usize,
     inject_ns: f64,
     advance_ns: f64,
     complete_ns: f64,
+    inject_allocs: f64,
+    advance_allocs: f64,
+}
+
+/// Injects the next probe at the current instant and cancels it again.
+fn probe(sim: &mut FlowSimulator, probes: &[FlowSpec], i: &mut usize) -> usize {
+    let spec = probes[*i % probes.len()].clone();
+    *i += 1;
+    let at = sim.now();
+    let id = sim.inject(spec, at).expect("probe endpoints are hosts");
+    sim.cancel(id);
+    sim.active_count()
+}
+
+/// Steps event by event through up to 64 completions, returning the
+/// steps taken.
+fn advance_64(sim: &mut FlowSimulator) -> u64 {
+    let mut steps = 0u64;
+    while steps < 64 {
+        match sim.next_completion_time() {
+            Some(t) => sim.advance_to(t),
+            None => break,
+        }
+        steps += 1;
+    }
+    steps
 }
 
 fn measure(scale: usize, probes: &[FlowSpec]) -> ScaleRow {
     let base = loaded_sim(scale);
 
     // Inject: one extra flow into the steady population, then back out.
+    // The allocation count takes one more round on the same simulator.
     let mut sim = base.clone();
     let mut i = 0usize;
-    let inject_ns = per_call_ns(9, 64, || {
-        let spec = probes[i % probes.len()].clone();
-        i += 1;
-        let at = sim.now();
-        let id = sim.inject(spec, at).expect("probe endpoints are hosts");
-        sim.cancel(id);
-        sim.active_count()
+    let inject_ns = per_call_ns(9, 64, || probe(&mut sim, probes, &mut i));
+    let inject_allocs = allocs::per_unit(|| {
+        for _ in 0..64 {
+            probe(&mut sim, probes, &mut i);
+        }
+        64
     });
 
-    // Advance: event-by-event progress through up to 64 completions.
-    let advance_ns = fastest_ns(
-        5,
-        || base.clone(),
-        |sim| {
-            let mut steps = 0u64;
-            while steps < 64 {
-                match sim.next_completion_time() {
-                    Some(t) => sim.advance_to(t),
-                    None => break,
-                }
-                steps += 1;
-            }
-            steps
-        },
-    );
+    // Advance: event-by-event progress through up to 64 completions,
+    // each round (and the allocation count) on a fresh copy.
+    let advance_ns = fastest_ns(5, || base.clone(), advance_64);
+    let mut sim = base.clone();
+    let advance_allocs = allocs::per_unit(|| advance_64(&mut sim));
 
     // Complete: full drain, cost per completed flow.
     let complete_ns = fastest_ns(
@@ -122,6 +205,8 @@ fn measure(scale: usize, probes: &[FlowSpec]) -> ScaleRow {
         inject_ns,
         advance_ns,
         complete_ns,
+        inject_allocs,
+        advance_allocs,
     }
 }
 
@@ -247,6 +332,10 @@ fn main() {
         ] {
             report.row(LAYER, &format!("{op}_ns.active_{}", r.active), "ns", ns);
         }
+        for (op, allocs) in [("inject", r.inject_allocs), ("advance", r.advance_allocs)] {
+            let metric = format!("allocs.{op}.active_{}", r.active);
+            report.row(LAYER, &metric, "count", allocs);
+        }
     }
     let (fat_tree_hosts, flows) = (fat_tree.hosts().count() as f64, SCALE_FLOWS as f64);
     report
@@ -289,6 +378,24 @@ fn main() {
         small.advance_ns,
         small.active
     );
+
+    // The allocation gate: a probe pays for its own spec, id and path
+    // vectors and a step for little but amortised growth; a solve that
+    // builds fresh jobs or scratch again costs dozens per operation.
+    for r in &rows {
+        assert!(
+            r.inject_allocs <= 12.0,
+            "{} allocations per inject + cancel probe at {} flows (gate 12)",
+            r.inject_allocs,
+            r.active
+        );
+        assert!(
+            r.advance_allocs <= 5.0,
+            "{} allocations per advance step at {} flows (gate 5)",
+            r.advance_allocs,
+            r.active
+        );
+    }
 
     // The partition claim: spreading the same ≥100k-flow population over
     // 16 pods instead of 1 shrinks every dirty region 16×, so per-inject

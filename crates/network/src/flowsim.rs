@@ -40,6 +40,13 @@
 //!   scan in [`FlowSimulator::next_completion_time`]: an entry is live
 //!   while its flow is still in the table at the entry's epoch.
 //!
+//! A recomputation allocates nothing in steady state: each region's
+//! solve job carries its columns, solver scratch and rates, jobs are
+//! recycled through a free list, paths are stored as region-local
+//! positions so the solver's arrays are sized to the region, and the
+//! per-resource working memory lives on the simulator, left clear
+//! between calls (DESIGN.md §4b).
+//!
 //! # Partitioned parallel solve (DESIGN.md §4c)
 //!
 //! The [`partition`] module derives a [`partition::PartitionMap`] from
@@ -73,7 +80,7 @@ use picloud_simcore::telemetry::MetricsRegistry;
 use picloud_simcore::{SimDuration, SimTime, TimeWeightedGauge};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -81,8 +88,10 @@ use std::sync::Arc;
 const EPSILON_BITS: f64 = 1e-6;
 
 /// Minimum total region-flow count before a multi-region recompute is
-/// worth fanning out to the worker pool: below this, thread start-up
-/// dwarfs the solve. Results are bit-identical either way.
+/// worth fanning out to the worker pool: below this, handing the jobs to
+/// the persistent workers (a boxed task and a channel message per job,
+/// plus waking the parked threads) costs more than solving them inline.
+/// Results are bit-identical either way.
 const PARALLEL_FLOWS_MIN: usize = 64;
 
 /// How link capacity is divided among contending flows.
@@ -186,12 +195,14 @@ pub struct FlowSimulator {
     /// each resource, ascending (and so in flow-id order).
     flows_on: Vec<Vec<u32>>,
     /// Resource-sharing adjacency, one sparse row per resource: row `a`
-    /// maps each co-traversed resource `b` to the number of active flows
-    /// crossing both. Lets the dirty-region walk stay purely on
-    /// resources instead of chasing per-flow sets, at memory
-    /// proportional to actual sharing (a dense `n_res²` matrix is
-    /// ~151 MB on a 1024-host fat-tree).
-    res_adj: Vec<BTreeMap<u32, u32>>,
+    /// holds `(b, n)` for each co-traversed resource `b`, ascending by
+    /// `b`, where `n > 0` active flows cross both. Lets the dirty-region
+    /// walk stay purely on resources instead of chasing per-flow sets,
+    /// at memory proportional to actual sharing (a dense `n_res²` matrix
+    /// is ~151 MB on a 1024-host fat-tree). A flat sorted row updates by
+    /// binary search and an in-place shift, with no per-entry node to
+    /// allocate or free.
+    res_adj: Vec<Vec<(u32, u32)>>,
     /// Current allocated rate sum per resource, bits/s (kept in lock-step
     /// with `flows_on` at every recomputation point).
     resource_used: Vec<f64>,
@@ -213,6 +224,37 @@ pub struct FlowSimulator {
     /// Regions solved per partition bucket since construction (the
     /// `network_partition_solves_total` telemetry counter).
     partition_solves: Vec<u64>,
+    /// The recompute path's reusable working memory.
+    scratch: Scratch,
+}
+
+/// The recompute path's reusable working memory, so that a steady-state
+/// inject, completion or cancel allocates nothing here. Between calls
+/// every list is empty, every per-resource and per-slot entry is zero or
+/// `false`, and the jobs sit on the free list; `local_of` is written
+/// before it is read. A clone of the simulator therefore carries no
+/// state in it that could change a result.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The resources a change touched: the seeds of its recompute.
+    seeds: Vec<ResourceId>,
+    /// The slots that drained dry in one clock step, ascending.
+    finished: Vec<usize>,
+    /// Region membership per resource, for the dirty-region walk.
+    res_in: Vec<bool>,
+    /// The dirty-region walk's stack.
+    frontier: Vec<usize>,
+    /// Each resource's position in the `res_list` of the job being
+    /// gathered.
+    local_of: Vec<u32>,
+    /// One bit per flow-table slot, for the gather.
+    marks: Vec<u64>,
+    /// Per-resource rate sums, accumulated by the apply.
+    used_new: Vec<f64>,
+    /// The current recompute's jobs, in region order.
+    jobs: Vec<SolveJob>,
+    /// Jobs kept for the next recompute to refill.
+    free: Vec<SolveJob>,
 }
 
 #[derive(Debug, Clone)]
@@ -315,16 +357,19 @@ impl FlowTable {
     }
 }
 
-/// One disjoint dirty region prepared for solving, fully **owned**: its
+/// One disjoint dirty region prepared for solving, with the solver's
+/// working memory and its output. A job is fully **owned** — its
 /// resources (with capacities and inverted-index counts snapshotted from
-/// the simulator) plus its flows (flow-table slots ascending; weights and
-/// CSR-flattened paths index-aligned). Owning the data lets the job ship
-/// to the persistent [`SolverPool`], whose workers outlive any single
-/// borrow of the simulator.
+/// the simulator) and its flows (flow-table slots ascending; weights and
+/// CSR-flattened paths index-aligned) — so it can ship to the persistent
+/// [`SolverPool`], whose workers outlive any single borrow of the
+/// simulator, and come back. Paths are stored as positions in
+/// `res_list`, so every per-resource array is sized to the region, not
+/// to the fabric. Jobs are recycled through the simulator's free list
+/// and refilled in place, so a steady-state solve allocates nothing.
+#[derive(Debug, Clone, Default)]
 struct SolveJob {
-    /// Global resource count — scratch vectors are dense and
-    /// resource-indexed.
-    n_res: usize,
+    /// The region's resources, ascending.
     res_list: Vec<usize>,
     /// The region's flow-table slots, ascending (so in flow-id order).
     slots: Vec<u32>,
@@ -332,23 +377,33 @@ struct SolveJob {
     /// CSR offsets: flow `i`'s path occupies
     /// `path_res[path_start[i] as usize..path_start[i + 1] as usize]`.
     path_start: Vec<u32>,
-    path_res: Vec<ResourceId>,
+    /// Path resources as positions in `res_list`, in traversal order.
+    path_res: Vec<u32>,
     /// `resource_capacity[r]` for each `r` in `res_list`, index-aligned.
     capacity: Vec<f64>,
     /// `flows_on[r].len()` for each `r` in `res_list` — the equal-share
     /// denominators.
     flow_count: Vec<u32>,
+    /// Capacity not yet handed out, per region resource (the equal-share
+    /// fill keeps its per-resource shares here).
+    cap_left: Vec<f64>,
+    /// Total weight of the unfrozen flows on each region resource.
+    weight_on: Vec<f64>,
+    /// CSR of region-flow indices per region resource:
+    /// `idx_on[start[k] as usize..start[k + 1] as usize]`, filled through
+    /// `cursor`.
+    start: Vec<u32>,
+    idx_on: Vec<u32>,
+    cursor: Vec<u32>,
+    /// Whether each region flow has its rate yet.
+    frozen: Vec<bool>,
+    /// The solved rates, index-aligned with `slots`.
+    rates: Vec<f64>,
 }
 
 impl SolveJob {
-    /// Flow `i`'s path resources, in traversal order.
-    fn path(&self, i: usize) -> &[ResourceId] {
-        &self.path_res[self.path_start[i] as usize..self.path_start[i + 1] as usize]
-    }
-
-    /// Solves this region under `allocator`, returning rates
-    /// index-aligned with `slots`.
-    fn solve(&self, allocator: RateAllocator) -> Vec<f64> {
+    /// Solves this region under `allocator` into `rates`.
+    fn solve(&mut self, allocator: RateAllocator) {
         match allocator {
             RateAllocator::MaxMin => self.solve_max_min(),
             RateAllocator::EqualShare => self.solve_equal_share(),
@@ -361,53 +416,75 @@ impl SolveJob {
     /// (ascending flow id) and arithmetic order are identical whether the
     /// region is the whole graph or one closed component, which is what
     /// makes incremental and full recomputes bit-for-bit equivalent.
-    fn solve_max_min(&self) -> Vec<f64> {
-        let n_res = self.n_res;
-        let n_flows = self.slots.len();
-        let mut cap_left = vec![0.0f64; n_res];
-        for (k, &r) in self.res_list.iter().enumerate() {
-            cap_left[r] = self.capacity[k];
-        }
-        let mut rates = vec![0.0f64; n_flows];
-        let mut frozen = vec![false; n_flows];
+    /// Region positions ascend with resource index, so scanning them in
+    /// order is scanning the resources in order.
+    fn solve_max_min(&mut self) {
+        let SolveJob {
+            slots,
+            weight,
+            path_start,
+            path_res,
+            capacity,
+            cap_left,
+            weight_on,
+            start,
+            idx_on,
+            cursor,
+            frozen,
+            rates,
+            ..
+        } = self;
+        let path = |i: usize| &path_res[path_start[i] as usize..path_start[i + 1] as usize];
+        let n_res = capacity.len();
+        let n_flows = slots.len();
+        cap_left.clear();
+        cap_left.extend_from_slice(capacity);
+        rates.clear();
+        rates.resize(n_flows, 0.0);
+        frozen.clear();
+        frozen.resize(n_flows, false);
         let mut n_unfrozen = n_flows;
         // Weighted max-min: each resource tracks the total weight of the
         // unfrozen flows crossing it; the fair share is per unit weight.
-        let mut weight_on: Vec<f64> = vec![0.0; n_res];
-        for i in 0..n_flows {
-            for r in self.path(i) {
-                weight_on[r.0] += self.weight[i];
+        weight_on.clear();
+        weight_on.resize(n_res, 0.0);
+        for (i, &w) in weight.iter().enumerate() {
+            for &k in path(i) {
+                weight_on[k as usize] += w;
             }
         }
         // CSR of region-flow indices per resource, ascending by flow id —
         // the same order `flows_on` iterates, without any tree walks or
         // searches in the fill loop below.
-        let mut start = vec![0u32; n_res + 1];
-        for r in &self.path_res {
-            start[r.0 + 1] += 1;
+        start.clear();
+        start.resize(n_res + 1, 0);
+        for &k in path_res.iter() {
+            start[k as usize + 1] += 1;
         }
-        for r in 0..n_res {
-            start[r + 1] += start[r];
+        for k in 0..n_res {
+            start[k + 1] += start[k];
         }
-        let mut idx_on = vec![0u32; start[n_res] as usize];
-        let mut cursor = start.clone();
+        idx_on.clear();
+        idx_on.resize(start[n_res] as usize, 0);
+        cursor.clear();
+        cursor.extend_from_slice(start);
         for i in 0..n_flows {
-            for r in self.path(i) {
-                idx_on[cursor[r.0] as usize] = i as u32;
-                cursor[r.0] += 1;
+            for &k in path(i) {
+                idx_on[cursor[k as usize] as usize] = i as u32;
+                cursor[k as usize] += 1;
             }
         }
         while n_unfrozen > 0 {
             // Find the tightest resource: min cap_left / weight_on.
             let mut bottleneck: Option<(usize, f64)> = None;
-            for &r in &self.res_list {
-                if weight_on[r] <= 0.0 {
+            for k in 0..n_res {
+                if weight_on[k] <= 0.0 {
                     continue;
                 }
-                let fair = cap_left[r] / weight_on[r];
+                let fair = cap_left[k] / weight_on[k];
                 match bottleneck {
                     Some((_, best)) if best <= fair => {}
-                    _ => bottleneck = Some((r, fair)),
+                    _ => bottleneck = Some((k, fair)),
                 }
             }
             let Some((bott, fair)) = bottleneck else {
@@ -426,15 +503,16 @@ impl SolveJob {
                 if frozen[i] {
                     continue;
                 }
-                let w = self.weight[i];
+                let w = weight[i];
                 let rate = fair * w;
                 rates[i] = rate;
                 frozen[i] = true;
                 froze_any = true;
                 n_unfrozen -= 1;
-                for r in self.path(i) {
-                    cap_left[r.0] = (cap_left[r.0] - rate).max(0.0);
-                    weight_on[r.0] -= w;
+                for &k in path(i) {
+                    let k = k as usize;
+                    cap_left[k] = (cap_left[k] - rate).max(0.0);
+                    weight_on[k] -= w;
                 }
             }
             if !froze_any {
@@ -443,35 +521,41 @@ impl SolveJob {
                 weight_on[bott] = 0.0;
             }
         }
-        rates
     }
 
     /// Equal split per resource, minimum along the path, restricted to
     /// the region (counts were snapshotted from the inverted index).
-    /// Returns rates index-aligned with `slots`.
-    fn solve_equal_share(&self) -> Vec<f64> {
-        let n_res = self.n_res;
-        let mut shares = vec![f64::INFINITY; n_res];
-        for (k, &r) in self.res_list.iter().enumerate() {
-            let n = self.flow_count[k] as usize;
+    fn solve_equal_share(&mut self) {
+        let SolveJob {
+            slots,
+            path_start,
+            path_res,
+            capacity,
+            flow_count,
+            cap_left: shares,
+            rates,
+            ..
+        } = self;
+        shares.clear();
+        shares.extend(capacity.iter().zip(flow_count.iter()).map(|(&c, &n)| {
             if n > 0 {
-                shares[r] = self.capacity[k] / n as f64;
+                c / n as f64
+            } else {
+                f64::INFINITY
             }
-        }
-        (0..self.slots.len())
-            .map(|i| {
-                let rate = self
-                    .path(i)
-                    .iter()
-                    .map(|r| shares[r.0])
-                    .fold(f64::INFINITY, f64::min);
-                if rate.is_finite() {
-                    rate
-                } else {
-                    0.0
-                }
-            })
-            .collect()
+        }));
+        rates.clear();
+        rates.extend((0..slots.len()).map(|i| {
+            let rate = path_res[path_start[i] as usize..path_start[i + 1] as usize]
+                .iter()
+                .map(|&k| shares[k as usize])
+                .fold(f64::INFINITY, f64::min);
+            if rate.is_finite() {
+                rate
+            } else {
+                0.0
+            }
+        }));
     }
 }
 
@@ -510,7 +594,7 @@ impl FlowSimulator {
             completed_total: 0,
             resource_capacity,
             flows_on: vec![Vec::new(); n_res],
-            res_adj: vec![BTreeMap::new(); n_res],
+            res_adj: vec![Vec::new(); n_res],
             resource_used: vec![0.0; n_res],
             resource_util: (0..n_res)
                 .map(|_| TimeWeightedGauge::new(SimTime::ZERO, 0.0))
@@ -521,6 +605,12 @@ impl FlowSimulator {
             pool: None,
             completions: BinaryHeap::new(),
             partition_solves: vec![0; buckets],
+            scratch: Scratch {
+                res_in: vec![false; n_res],
+                local_of: vec![0; n_res],
+                used_new: vec![0.0; n_res],
+                ..Scratch::default()
+            },
             topo,
         }
     }
@@ -676,7 +766,7 @@ impl FlowSimulator {
             routed.push((id, spec, path));
         }
         let mut ids = Vec::with_capacity(routed.len());
-        let mut seeds: Vec<ResourceId> = Vec::new();
+        let mut seeds = std::mem::take(&mut self.scratch.seeds);
         for (id, spec, path) in routed {
             self.next_id += 1;
             ids.push(id);
@@ -717,6 +807,8 @@ impl FlowSimulator {
         if !seeds.is_empty() {
             self.recompute_rates(&seeds);
         }
+        seeds.clear();
+        self.scratch.seeds = seeds;
         Ok(ids)
     }
 
@@ -769,20 +861,12 @@ impl FlowSimulator {
             if next > deadline {
                 break;
             }
-            let finished = self.advance_clock(next);
-            let seeds = self.harvest_completions(finished);
-            if !seeds.is_empty() {
-                self.recompute_rates(&seeds);
-            }
+            self.step_to(next);
         }
-        let finished = self.advance_clock(deadline);
-        if !finished.is_empty() {
-            // A float dip can drain a flow a hair before its predicted
-            // (ns-rounded-up) completion instant; retire it now rather
-            // than leaving a zero-remaining flow active.
-            let seeds = self.harvest_completions(finished);
-            self.recompute_rates(&seeds);
-        }
+        // A float dip can drain a flow a hair before its predicted
+        // (ns-rounded-up) completion instant; this last step retires it
+        // now rather than leaving a zero-remaining flow active.
+        self.step_to(deadline);
     }
 
     /// Runs until every active flow has completed, returning the finish
@@ -801,11 +885,7 @@ impl FlowSimulator {
             let next = self
                 .next_completion_time()
                 .expect("active flows exist but none has positive rate");
-            let finished = self.advance_clock(next);
-            let seeds = self.harvest_completions(finished);
-            if !seeds.is_empty() {
-                self.recompute_rates(&seeds);
-            }
+            self.step_to(next);
         }
         self.now
     }
@@ -934,7 +1014,11 @@ impl FlowSimulator {
         for a in resources {
             let row = &mut self.res_adj[a.0];
             for b in resources {
-                *row.entry(b.0 as u32).or_insert(0) += 1;
+                let b = b.0 as u32;
+                match row.binary_search_by_key(&b, |&(r, _)| r) {
+                    Ok(k) => row[k].1 += 1,
+                    Err(k) => row.insert(k, (b, 1)),
+                }
             }
         }
     }
@@ -952,29 +1036,43 @@ impl FlowSimulator {
         for a in resources {
             let row = &mut self.res_adj[a.0];
             for b in resources {
-                let k = b.0 as u32;
-                if let Some(count) = row.get_mut(&k) {
-                    *count -= 1;
-                    if *count == 0 {
-                        row.remove(&k);
+                if let Ok(k) = row.binary_search_by_key(&(b.0 as u32), |&(r, _)| r) {
+                    row[k].1 -= 1;
+                    if row[k].1 == 0 {
+                        row.remove(k);
                     }
                 }
             }
         }
     }
 
+    /// Moves the clock to `to`, retires the flows that drained dry on the
+    /// way and re-solves the regions they leave behind.
+    fn step_to(&mut self, to: SimTime) {
+        let mut finished = std::mem::take(&mut self.scratch.finished);
+        let mut seeds = std::mem::take(&mut self.scratch.seeds);
+        self.advance_clock(to, &mut finished);
+        self.harvest_completions(&finished, &mut seeds);
+        if !seeds.is_empty() {
+            self.recompute_rates(&seeds);
+        }
+        finished.clear();
+        seeds.clear();
+        self.scratch.finished = finished;
+        self.scratch.seeds = seeds;
+    }
+
     /// Moves the clock forward, draining `remaining_bits` at current
-    /// rates and integrating utilisation gauges. Returns the slots of the
-    /// flows that drained dry during this step, ascending — the same set
-    /// and order a post-hoc scan would find, without a second walk. The
-    /// walk is in slot (so flow-id) order, which fixes the order in which
-    /// each resource accumulates its carried bits.
-    fn advance_clock(&mut self, to: SimTime) -> Vec<usize> {
+    /// rates and integrating utilisation gauges. Pushes the slots of the
+    /// flows that drained dry during this step onto `finished`, ascending
+    /// — the same set and order a post-hoc scan would find, without a
+    /// second walk. The walk is in slot (so flow-id) order, which fixes
+    /// the order in which each resource accumulates its carried bits.
+    fn advance_clock(&mut self, to: SimTime, finished: &mut Vec<usize>) {
         if to == self.now {
-            return Vec::new();
+            return;
         }
         let dt = to.duration_since(self.now).as_secs_f64();
-        let mut finished = Vec::new();
         for (slot, entry) in self.table.flows.iter_mut().enumerate() {
             let Some(af) = entry else { continue };
             let moved = af.flow.rate_bps * dt;
@@ -987,17 +1085,15 @@ impl FlowSimulator {
             }
         }
         self.now = to;
-        finished
     }
 
     /// Retires the drained flows, unhooks them from the inverted index
-    /// and returns their resources as the dirty seed for the next
-    /// recompute. Active flows always carry `remaining_bits` above the
-    /// epsilon outside [`FlowSimulator::advance_clock`], so the drain
+    /// and pushes their resources onto `seeds`, the dirty seed for the
+    /// next recompute. Active flows always carry `remaining_bits` above
+    /// the epsilon outside [`FlowSimulator::advance_clock`], so the drain
     /// walk's harvest list is exhaustive.
-    fn harvest_completions(&mut self, finished: Vec<usize>) -> Vec<ResourceId> {
-        let mut seeds = Vec::new();
-        for slot in finished {
+    fn harvest_completions(&mut self, finished: &[usize], seeds: &mut Vec<ResourceId>) {
+        for &slot in finished {
             let Some(af) = self.table.retire(slot) else {
                 continue; // slot was occupied moments ago
             };
@@ -1011,11 +1107,11 @@ impl FlowSimulator {
             });
             self.completed_total += 1;
         }
-        seeds
     }
 
-    /// The regions a change seeded at `seeds` can influence, one per
-    /// connected component of the sharing graph: in
+    /// Fills `s.jobs` with the regions a change seeded at `seeds` can
+    /// influence, one job per connected component of the sharing graph,
+    /// each taken from the free list with its `res_list` refilled: in
     /// [`RecomputeMode::Full`], a single region spanning everything; in
     /// [`RecomputeMode::Incremental`], the transitive closure of flows
     /// and resources reachable from each seed resource through the
@@ -1025,10 +1121,14 @@ impl FlowSimulator {
     /// restricted solves bit-identical to the full one *and* safe to run
     /// concurrently. Regions are ordered by first seed, resources
     /// ascending within each.
-    fn dirty_regions(&self, seeds: &[ResourceId]) -> Vec<Vec<usize>> {
-        let n_res = self.resource_capacity.len();
+    fn dirty_regions(&self, seeds: &[ResourceId], s: &mut Scratch) {
         match self.mode {
-            RecomputeMode::Full => vec![(0..n_res).collect()],
+            RecomputeMode::Full => {
+                let mut job = s.free.pop().unwrap_or_default();
+                job.res_list.clear();
+                job.res_list.extend(0..self.resource_capacity.len());
+                s.jobs.push(job);
+            }
             RecomputeMode::Incremental => {
                 // Walk the resource-sharing adjacency — no per-flow set
                 // chasing; a resource joins a region iff some flow
@@ -1036,75 +1136,70 @@ impl FlowSimulator {
                 // landing in an already-built region are skipped, so a
                 // burst spanning several components yields one region
                 // per component.
-                let mut res_in = vec![false; n_res];
-                let mut regions: Vec<Vec<usize>> = Vec::new();
-                let mut frontier: Vec<usize> = Vec::new();
                 for seed in seeds {
-                    if res_in[seed.0] {
+                    if s.res_in[seed.0] {
                         continue;
                     }
-                    res_in[seed.0] = true;
-                    frontier.push(seed.0);
-                    let mut res_list: Vec<usize> = Vec::new();
-                    while let Some(r) = frontier.pop() {
-                        res_list.push(r);
-                        for (&r2, &shared) in &self.res_adj[r] {
-                            if shared > 0 && !res_in[r2 as usize] {
-                                res_in[r2 as usize] = true;
-                                frontier.push(r2 as usize);
+                    s.res_in[seed.0] = true;
+                    s.frontier.push(seed.0);
+                    let mut job = s.free.pop().unwrap_or_default();
+                    job.res_list.clear();
+                    while let Some(r) = s.frontier.pop() {
+                        job.res_list.push(r);
+                        for &(r2, _) in &self.res_adj[r] {
+                            if !s.res_in[r2 as usize] {
+                                s.res_in[r2 as usize] = true;
+                                s.frontier.push(r2 as usize);
                             }
                         }
                     }
-                    res_list.sort_unstable();
-                    regions.push(res_list);
+                    job.res_list.sort_unstable();
+                    s.jobs.push(job);
                 }
-                regions
+                for job in &s.jobs {
+                    for &r in &job.res_list {
+                        s.res_in[r] = false;
+                    }
+                }
             }
         }
     }
 
-    /// Gathers one region into a [`SolveJob`]: sets the bit of every
-    /// slot on the region's resources in `marks` (a bitmap over the flow
-    /// table, clear on entry and on return), then reads the bits in slot
-    /// order straight into the job's columns. The region is bi-closed,
-    /// so the marked slots are exactly its flows, ascending by id.
-    fn gather(&self, res_list: Vec<usize>, marks: &mut [u64]) -> SolveJob {
-        for &r in &res_list {
+    /// Gathers the region in `job.res_list` into the job's columns: sets
+    /// the bit of every slot on the region's resources in `marks` (a
+    /// bitmap over the flow table, clear on entry and on return), then
+    /// reads the bits in slot order straight into the columns, writing
+    /// each path as positions in `res_list` through `local_of`. The
+    /// region is bi-closed, so the marked slots are exactly its flows,
+    /// ascending by id, and every path resource has a position.
+    fn gather(&self, job: &mut SolveJob, marks: &mut [u64], local_of: &mut [u32]) {
+        job.capacity.clear();
+        job.flow_count.clear();
+        for (k, &r) in job.res_list.iter().enumerate() {
+            local_of[r] = k as u32;
+            job.capacity.push(self.resource_capacity[r]);
+            job.flow_count.push(self.flows_on[r].len() as u32);
             for &slot in &self.flows_on[r] {
                 marks[slot as usize / 64] |= 1 << (slot % 64);
             }
         }
-        let mut slots = Vec::new();
-        let mut weight = Vec::new();
-        let mut path_start = vec![0u32];
-        let mut path_res = Vec::new();
+        job.slots.clear();
+        job.weight.clear();
+        job.path_start.clear();
+        job.path_start.push(0);
+        job.path_res.clear();
         for (w, word) in marks.iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
             while bits != 0 {
                 let slot = (w * 64) as u32 + bits.trailing_zeros();
                 bits &= bits - 1;
                 let af = self.table.at(slot);
-                slots.push(slot);
-                weight.push(af.flow.spec.weight);
-                path_res.extend_from_slice(&af.resources);
-                path_start.push(path_res.len() as u32);
+                job.slots.push(slot);
+                job.weight.push(af.flow.spec.weight);
+                job.path_res
+                    .extend(af.resources.iter().map(|r| local_of[r.0]));
+                job.path_start.push(job.path_res.len() as u32);
             }
-        }
-        SolveJob {
-            n_res: self.resource_capacity.len(),
-            capacity: res_list
-                .iter()
-                .map(|&r| self.resource_capacity[r])
-                .collect(),
-            flow_count: res_list
-                .iter()
-                .map(|&r| self.flows_on[r].len() as u32)
-                .collect(),
-            res_list,
-            slots,
-            weight,
-            path_start,
-            path_res,
         }
     }
 
@@ -1115,37 +1210,35 @@ impl FlowSimulator {
     ///
     /// Disjoint regions are solved independently — concurrently on the
     /// worker pool when there is more than one and enough flows to pay
-    /// for the threads — then applied in dirty-region order, flows in
-    /// ascending id order within each. Each region's arithmetic is
-    /// identical whether it is solved jointly with the others, alone, or
-    /// on another thread, so the result is bit-for-bit independent of
-    /// both the region split and the worker count.
+    /// for the hand-off, inline otherwise; both paths run the same jobs
+    /// — then applied in dirty-region order, flows in ascending id order
+    /// within each. Each region's arithmetic is identical whether it is
+    /// solved jointly with the others, alone, or on another thread, so
+    /// the result is bit-for-bit independent of both the region split
+    /// and the worker count. The jobs go back on the free list
+    /// afterwards.
     fn recompute_rates(&mut self, seeds: &[ResourceId]) {
-        let regions = self.dirty_regions(seeds);
-        for res_list in &regions {
-            self.partition_solves[self.partitions.region_bucket(res_list) as usize] += 1;
+        let mut s = std::mem::take(&mut self.scratch);
+        self.dirty_regions(seeds, &mut s);
+        s.marks.resize(self.table.flows.len().div_ceil(64), 0);
+        let mut total_flows = 0;
+        for job in &mut s.jobs {
+            self.partition_solves[self.partitions.region_bucket(&job.res_list) as usize] += 1;
+            self.gather(job, &mut s.marks, &mut s.local_of);
+            total_flows += job.slots.len();
         }
-        let mut marks = vec![0u64; self.table.flows.len().div_ceil(64)];
-        let jobs: Vec<SolveJob> = regions
-            .into_iter()
-            .map(|res_list| self.gather(res_list, &mut marks))
-            .collect();
-        let total_flows: usize = jobs.iter().map(|j| j.slots.len()).sum();
-        let parallel = jobs.len() > 1 && total_flows >= PARALLEL_FLOWS_MIN;
+        let parallel = s.jobs.len() > 1 && total_flows >= PARALLEL_FLOWS_MIN;
         let allocator = self.allocator;
-        let solved: Vec<(SolveJob, Vec<f64>)> = match &self.pool {
-            Some(pool) if parallel => pool.run_ordered(jobs, move |_, job: SolveJob| {
-                let rates = job.solve(allocator);
-                (job, rates)
-            }),
-            _ => jobs
-                .into_iter()
-                .map(|job| {
-                    let rates = job.solve(allocator);
-                    (job, rates)
-                })
-                .collect(),
-        };
+        match &self.pool {
+            Some(pool) if parallel => {
+                let jobs = std::mem::take(&mut s.jobs);
+                s.jobs = pool.run_ordered(jobs, move |_, mut job: SolveJob| {
+                    job.solve(allocator);
+                    job
+                });
+            }
+            _ => s.jobs.iter_mut().for_each(|job| job.solve(allocator)),
+        }
         // Apply the solution region by region, flows ascending within
         // each, accumulating the per-resource rate sums in the same
         // pass. Regions are resource-disjoint, so every resource
@@ -1153,9 +1246,8 @@ impl FlowSimulator {
         // the sums stay bit-identical whether the regions were solved
         // jointly (the full oracle), one by one, or concurrently.
         let now = self.now;
-        let mut used_new = vec![0.0f64; self.resource_capacity.len()];
-        for (job, rates) in &solved {
-            for (&slot, &rate) in job.slots.iter().zip(rates) {
+        for job in &s.jobs {
+            for (&slot, &rate) in job.slots.iter().zip(&job.rates) {
                 let af = self.table.at_mut(slot);
                 if af.flow.rate_bps.to_bits() != rate.to_bits() {
                     af.flow.rate_bps = rate;
@@ -1170,11 +1262,12 @@ impl FlowSimulator {
                     }
                 }
                 for r in &af.resources {
-                    used_new[r.0] += rate;
+                    s.used_new[r.0] += rate;
                 }
             }
             for &r in &job.res_list {
-                let used = used_new[r];
+                // Reading a sum also clears it for the next recompute.
+                let used = std::mem::take(&mut s.used_new[r]);
                 if used.to_bits() != self.resource_used[r].to_bits() {
                     self.resource_used[r] = used;
                     let cap = self.resource_capacity[r];
@@ -1187,6 +1280,8 @@ impl FlowSimulator {
                 }
             }
         }
+        s.free.append(&mut s.jobs);
+        self.scratch = s;
         self.compact();
     }
 
@@ -1917,6 +2012,77 @@ mod tests {
         )
         .unwrap();
         assert!(s.partition_solves()[shared] > 0, "spine region solved");
+    }
+
+    #[test]
+    fn clones_and_mode_switches_mid_run_end_bit_identical() {
+        // The recompute path keeps its jobs and scratch between calls;
+        // none of it may carry state into a result. A simulator cloned
+        // mid-run (the clone and the original both carry on), and one
+        // switched Incremental -> Full -> Incremental mid-run, must end
+        // bit-identical to an untouched run: the same rates before the
+        // drain, the same completion records after it.
+        let topo = Topology::fat_tree(4);
+        let hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
+        let spec = |i: usize| {
+            // (7i + 3) - i = 6i + 3 is odd, so never 0 mod 16: src != dst.
+            FlowSpec::new(
+                hosts[i % 16],
+                hosts[(7 * i + 3) % 16],
+                Bytes::kib(64 + 48 * (i as u64 % 11)),
+            )
+            .with_weight([0.5, 1.0, 2.5][i % 3])
+        };
+        let drive = |s: &mut FlowSimulator, rounds: std::ops::Range<usize>| {
+            for i in rounds {
+                s.inject_batch(vec![spec(2 * i), spec(2 * i + 1)], secs(0.004 * i as f64))
+                    .unwrap();
+                if i % 5 == 4 {
+                    s.cancel(FlowId(i as u64));
+                }
+            }
+        };
+        let finish = |mut s: FlowSimulator| {
+            let rates: Vec<(FlowId, u64)> = s
+                .active_rates()
+                .into_iter()
+                .map(|(id, rate)| (id, rate.to_bits()))
+                .collect();
+            s.run_to_completion();
+            (rates, s.drain_completed())
+        };
+        let fresh = || {
+            FlowSimulator::new(
+                Topology::fat_tree(4),
+                RoutingPolicy::Ecmp { max_paths: 4 },
+                RateAllocator::MaxMin,
+            )
+        };
+
+        let mut untouched = fresh();
+        drive(&mut untouched, 0..40);
+        let expected = finish(untouched);
+        assert!(!expected.0.is_empty(), "flows are still active mid-run");
+
+        let mut original = fresh();
+        drive(&mut original, 0..20);
+        let mut copy = original.clone();
+        drive(&mut original, 20..40);
+        drive(&mut copy, 20..40);
+        assert_eq!(finish(original), expected, "the original after a clone");
+        assert_eq!(finish(copy), expected, "the clone");
+
+        let mut switched = fresh();
+        drive(&mut switched, 0..13);
+        switched.set_recompute_mode(RecomputeMode::Full);
+        drive(&mut switched, 13..26);
+        switched.set_recompute_mode(RecomputeMode::Incremental);
+        drive(&mut switched, 26..40);
+        assert_eq!(
+            finish(switched),
+            expected,
+            "Incremental -> Full -> Incremental"
+        );
     }
 
     fn secs(s: f64) -> SimTime {

@@ -94,11 +94,29 @@ pub fn all_shortest_paths(
     dst: DeviceId,
     limit: usize,
 ) -> Vec<Vec<LinkId>> {
+    let dist = bfs_distances(topo, src);
+    let rdist = bfs_distances(topo, dst);
+    shortest_paths_from_rows(topo, src, dst, &dist, &rdist, limit)
+}
+
+/// [`all_shortest_paths`] from precomputed BFS rows: `dist` is
+/// [`bfs_distances`] from `src`, `rdist` from `dst`. A caller that keeps
+/// one row per endpoint (the [`crate::routing::Router`]) routes every
+/// pair among `n` endpoints with `n` BFS passes instead of two per pair,
+/// and gets the same paths in the same order.
+pub(crate) fn shortest_paths_from_rows(
+    topo: &Topology,
+    src: DeviceId,
+    dst: DeviceId,
+    dist: &[u32],
+    rdist: &[u32],
+    limit: usize,
+) -> Vec<Vec<LinkId>> {
     if src == dst {
         return vec![Vec::new()];
     }
-    let dist = bfs_distances(topo, src);
-    if dist[dst.index()] == u32::MAX || limit == 0 {
+    let total = dist[dst.index()];
+    if total == u32::MAX || limit == 0 {
         return Vec::new();
     }
     // Reverse distances prune DFS branches that cannot lie on any shortest
@@ -107,60 +125,68 @@ pub fn all_shortest_paths(
     // graph — on a k=16 fat-tree a same-rack pair explores ~60k dead-end
     // paths through the core before giving up. The pruned branches yield
     // no results, so the returned paths and their order are unchanged.
-    let rdist = bfs_distances(topo, dst);
-    let total = dist[dst.index()];
-    // DFS forward along strictly-increasing BFS levels.
-    let mut results = Vec::new();
-    let mut stack: Vec<LinkId> = Vec::new();
-    #[allow(clippy::too_many_arguments, reason = "recursion state, not an API")]
-    fn dfs(
-        topo: &Topology,
-        dist: &[u32],
-        rdist: &[u32],
-        total: u32,
-        cur: DeviceId,
-        dst: DeviceId,
-        stack: &mut Vec<LinkId>,
-        results: &mut Vec<Vec<LinkId>>,
-        limit: usize,
-    ) {
-        if results.len() >= limit {
+    let mut walk = PathWalk {
+        topo,
+        dist,
+        rdist,
+        total,
+        dst,
+        limit,
+        stack: Vec::new(),
+        nexts: Vec::new(),
+        results: Vec::new(),
+    };
+    walk.dfs(src);
+    walk.results
+}
+
+/// The state of [`shortest_paths_from_rows`]' depth-first walk forward
+/// along strictly-increasing BFS levels.
+struct PathWalk<'a> {
+    topo: &'a Topology,
+    dist: &'a [u32],
+    rdist: &'a [u32],
+    total: u32,
+    dst: DeviceId,
+    limit: usize,
+    /// The links of the current partial path.
+    stack: Vec<LinkId>,
+    /// The candidate next hops of every open level, one segment per
+    /// level, so the walk allocates no per-node list.
+    nexts: Vec<(DeviceId, LinkId)>,
+    results: Vec<Vec<LinkId>>,
+}
+
+impl PathWalk<'_> {
+    fn dfs(&mut self, cur: DeviceId) {
+        if self.results.len() >= self.limit {
             return;
         }
-        if cur == dst {
-            results.push(stack.clone());
+        if cur == self.dst {
+            self.results.push(self.stack.clone());
             return;
         }
         // Deterministic order: sort candidate edges by link id.
-        let mut nexts: Vec<(DeviceId, LinkId)> = topo
-            .neighbours(cur)
-            .iter()
-            .copied()
-            .filter(|(n, _)| {
+        let (dist, rdist, total) = (self.dist, self.rdist, self.total);
+        let base = self.nexts.len();
+        self.nexts
+            .extend(self.topo.neighbours(cur).iter().copied().filter(|(n, _)| {
                 dist[n.index()] == dist[cur.index()] + 1
                     && rdist[n.index()] != u32::MAX
                     && dist[n.index()] + rdist[n.index()] == total
-            })
-            .collect();
-        nexts.sort_by_key(|&(_, l)| l);
-        for (next, link) in nexts {
-            stack.push(link);
-            dfs(topo, dist, rdist, total, next, dst, stack, results, limit);
-            stack.pop();
+            }));
+        self.nexts[base..].sort_by_key(|&(_, l)| l);
+        // Each deeper level truncates its own segment before returning,
+        // so this level's candidates stay at `base..end`.
+        let end = self.nexts.len();
+        for k in base..end {
+            let (next, link) = self.nexts[k];
+            self.stack.push(link);
+            self.dfs(next);
+            self.stack.pop();
         }
+        self.nexts.truncate(base);
     }
-    dfs(
-        topo,
-        &dist,
-        &rdist,
-        total,
-        src,
-        dst,
-        &mut stack,
-        &mut results,
-        limit,
-    );
-    results
 }
 
 /// One shortest path from `src` to `dst` that avoids every link in

@@ -7,6 +7,15 @@
 //! paths (what the SDN controller installs in the fat-tree). The
 //! [`Router`] precomputes candidate paths lazily per `(src, dst)` pair and
 //! picks deterministically per flow.
+//!
+//! Candidates come from the pruned depth-first walk behind
+//! [`graph::all_shortest_paths`], which needs the BFS hop distances from
+//! both endpoints. The router keeps one such distance row per endpoint
+//! device it has seen, so a cold pair costs only the walk once both of
+//! its rows exist: routing every pair among `n` hosts takes `n` BFS
+//! passes rather than two per pair. The rows describe the topology they
+//! were computed on; [`Router::invalidate`] drops them with the path
+//! cache.
 
 use crate::flow::FlowId;
 use crate::graph;
@@ -55,6 +64,9 @@ pub struct Router {
     // BTreeMap, not HashMap: the cache is simulation-visible state and
     // its iteration order must never leak into route selection (D1).
     cache: BTreeMap<(DeviceId, DeviceId), Vec<Vec<LinkId>>>,
+    /// BFS hop distances from each endpoint device, indexed by device;
+    /// an empty row is not computed yet.
+    rows: Vec<Vec<u32>>,
 }
 
 impl Router {
@@ -63,6 +75,7 @@ impl Router {
         Router {
             policy,
             cache: BTreeMap::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -100,29 +113,68 @@ impl Router {
         Some(candidates[pick].clone())
     }
 
-    /// All candidate paths for a pair (cached after first computation).
+    /// All candidate paths for a pair (cached after first computation):
+    /// exactly [`graph::all_shortest_paths`] at the policy's path limit.
     pub fn candidates(&mut self, topo: &Topology, src: DeviceId, dst: DeviceId) -> &[Vec<LinkId>] {
         let limit = match self.policy {
             RoutingPolicy::SingleShortest => 1,
             RoutingPolicy::Ecmp { max_paths } => max_paths.max(1),
         };
-        self.cache
-            .entry((src, dst))
-            .or_insert_with(|| graph::all_shortest_paths(topo, src, dst, limit))
+        let Router { cache, rows, .. } = self;
+        cache.entry((src, dst)).or_insert_with(|| {
+            if rows.len() < topo.devices().len() {
+                rows.resize_with(topo.devices().len(), Vec::new);
+            }
+            for end in [src, dst] {
+                if rows[end.index()].is_empty() {
+                    rows[end.index()] = graph::bfs_distances(topo, end);
+                }
+            }
+            graph::shortest_paths_from_rows(
+                topo,
+                src,
+                dst,
+                &rows[src.index()],
+                &rows[dst.index()],
+                limit,
+            )
+        })
     }
 
-    /// Discards the path cache; call after the topology changes (a
-    /// re-cable, a link failure).
+    /// Discards the path cache and the BFS rows; call after the topology
+    /// changes (a re-cable, a link failure).
     pub fn invalidate(&mut self) {
         self.cache.clear();
+        self.rows.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Topology;
+    use crate::topology::{DeviceKind, Topology};
     use std::collections::BTreeSet;
+
+    /// Asserts `router`, whose policy allows `limit` paths, answers every
+    /// pair of `hosts` on `topo` exactly as `graph::all_shortest_paths`
+    /// does.
+    fn assert_candidates_match(
+        router: &mut Router,
+        topo: &Topology,
+        hosts: &[DeviceId],
+        limit: usize,
+    ) {
+        for &a in hosts {
+            for &b in hosts {
+                assert_eq!(
+                    router.candidates(topo, a, b),
+                    graph::all_shortest_paths(topo, a, b, limit).as_slice(),
+                    "{}: pair ({a:?}, {b:?}) at limit {limit}",
+                    topo.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn single_shortest_is_stable_across_flows() {
@@ -206,6 +258,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn cached_rows_give_the_same_candidates_as_all_shortest_paths() {
+        // The per-endpoint BFS rows change how a cold pair is computed,
+        // never what it yields: on three fabrics, for every host pair
+        // (a host to itself and a pair with no route among them) at
+        // limits 1, 4 and 16, the router answers exactly what
+        // `all_shortest_paths` does, in the same order.
+        for mut topo in [
+            Topology::multi_root_tree(4, 14, 2),
+            Topology::fat_tree(4),
+            Topology::leaf_spine(4, 6, 2),
+        ] {
+            let island = topo.add_device(DeviceKind::Host { rack: 99 }, "island");
+            let hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
+            for (policy, limit) in [
+                (RoutingPolicy::SingleShortest, 1),
+                (RoutingPolicy::Ecmp { max_paths: 4 }, 4),
+                (RoutingPolicy::Ecmp { max_paths: 16 }, 16),
+            ] {
+                let mut router = Router::new(policy);
+                assert_candidates_match(&mut router, &topo, &hosts, limit);
+                assert!(router.candidates(&topo, hosts[0], island).is_empty());
+                assert_eq!(router.candidates(&topo, island, island), [Vec::new()]);
+            }
+        }
+        // The sweep covers pairs with several equal-cost paths.
+        let topo = Topology::fat_tree(4);
+        let hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
+        let mut router = Router::new(RoutingPolicy::Ecmp { max_paths: 16 });
+        assert_eq!(router.candidates(&topo, hosts[0], hosts[15]).len(), 4);
+    }
+
+    #[test]
+    fn invalidated_router_answers_for_a_new_topology() {
+        // Device ids restart at 0 on every topology, so a row or a path
+        // kept across `invalidate` would answer for the old fabric.
+        let tree = Topology::multi_root_tree(2, 3, 1);
+        let fat = Topology::fat_tree(4);
+        let hosts = |t: &Topology| t.hosts().map(|h| h.id).collect::<Vec<_>>();
+        let mut router = Router::new(RoutingPolicy::Ecmp { max_paths: 16 });
+        assert_candidates_match(&mut router, &tree, &hosts(&tree), 16);
+        router.invalidate();
+        assert_candidates_match(&mut router, &fat, &hosts(&fat), 16);
+        router.invalidate();
+        assert_candidates_match(&mut router, &tree, &hosts(&tree), 16);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! model relies on, across randomly generated inputs.
 
 use picloud_hardware::cpu::{share_capacity, CpuClaim};
-use picloud_network::flow::FlowSpec;
+use picloud_network::flow::{FlowId, FlowSpec};
 use picloud_network::flowsim::{FlowSimulator, RateAllocator};
-use picloud_network::routing::RoutingPolicy;
+use picloud_network::routing::{Router, RoutingPolicy};
 use picloud_network::topology::Topology;
 use picloud_placement::migration::LiveMigrationModel;
 use picloud_simcore::engine::Engine;
@@ -14,6 +14,101 @@ use picloud_simcore::metrics::Histogram;
 use picloud_simcore::units::{Bandwidth, Bytes};
 use picloud_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
+use proptest::TestCaseError;
+
+/// One flow as the max–min certificate sees it: the resources its path
+/// crosses (link `l` forward is `2l`, backward `2l + 1`, as in the
+/// simulator) and its weight.
+struct CertFlow {
+    resources: Vec<usize>,
+    weight: f64,
+}
+
+/// The path resources of flow `id` from `spec.src` to `spec.dst`, rebuilt
+/// by `router`, which must use the simulator's routing policy.
+fn cert_flow(topo: &Topology, router: &mut Router, spec: &FlowSpec, id: FlowId) -> CertFlow {
+    let path = router
+        .route(topo, spec.src, spec.dst, id)
+        .expect("connected fabric");
+    let mut cur = spec.src;
+    let mut resources = Vec::with_capacity(path.len());
+    for lid in path {
+        let link = topo.link(lid);
+        resources.push(lid.index() * 2 + usize::from(cur != link.a));
+        cur = link.other_end(cur);
+    }
+    CertFlow {
+        resources,
+        weight: spec.weight,
+    }
+}
+
+/// Injects `batch` at `at` and records each new flow's certificate
+/// entry; ids are issued in order, so `flows[id]` is flow `id`.
+fn inject_certified(
+    sim: &mut FlowSimulator,
+    router: &mut Router,
+    flows: &mut Vec<CertFlow>,
+    batch: &[FlowSpec],
+    at: SimTime,
+) {
+    let ids = sim
+        .inject_batch(batch.to_vec(), at)
+        .expect("connected fabric");
+    for (spec, id) in batch.iter().zip(ids) {
+        assert_eq!(id.0 as usize, flows.len(), "ids are issued in order");
+        flows.push(cert_flow(sim.topology(), router, spec, id));
+    }
+}
+
+/// Checks the weighted max–min certificate (Bertsekas & Gallager, *Data
+/// Networks*, §6.5) on the simulator's current rates: an allocation is
+/// weighted max–min fair iff it is feasible and every flow crosses a
+/// saturated resource on which its rate ÷ weight is the largest. The
+/// check reads only the rates, the capacities and the rebuilt paths; it
+/// shares nothing with the water-fill that computed them.
+fn certify_max_min(
+    topo: &Topology,
+    sim: &FlowSimulator,
+    flows: &[CertFlow],
+) -> Result<(), TestCaseError> {
+    const TOL: f64 = 1e-9;
+    let capacity: Vec<f64> = topo
+        .links()
+        .iter()
+        .flat_map(|l| [l.capacity.as_bps() as f64; 2])
+        .collect();
+    let rates = sim.active_rates();
+    let mut used = vec![0.0f64; capacity.len()];
+    let mut top_share = vec![0.0f64; capacity.len()];
+    for &(id, rate) in &rates {
+        let f = &flows[id.0 as usize];
+        for &r in &f.resources {
+            used[r] += rate;
+            top_share[r] = top_share[r].max(rate / f.weight);
+        }
+    }
+    for (r, (&u, &c)) in used.iter().zip(&capacity).enumerate() {
+        prop_assert!(
+            u <= c * (1.0 + TOL),
+            "resource {r} carries {u} bit/s of {c}"
+        );
+    }
+    for &(id, rate) in &rates {
+        let f = &flows[id.0 as usize];
+        let share = rate / f.weight;
+        let bottlenecked = f
+            .resources
+            .iter()
+            .any(|&r| used[r] >= capacity[r] * (1.0 - TOL) && share >= top_share[r] * (1.0 - TOL));
+        prop_assert!(
+            bottlenecked,
+            "{id:?} at {rate} bit/s, weight {}, has no saturated resource on which its share is the largest",
+            f.weight
+        );
+    }
+    Ok(())
+}
 
 proptest! {
     // ------------------------------------------------------------------
@@ -127,6 +222,65 @@ proptest! {
         // FCT is never negative and finishes after start.
         for c in sim.completed() {
             prop_assert!(c.finished >= c.started);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Flow simulator: the rates are weighted max–min fair by the
+    // certificate, not by comparison with another run of the same
+    // solver — so a bug both recompute modes share (a fill that ignores
+    // weights, say) still fails here. Two batches on the paper fabric or
+    // a k = 4 fat-tree, weights 0.25–3, checked after each batch and at
+    // random instants, on one worker and on two.
+    // ------------------------------------------------------------------
+    #[test]
+    fn flowsim_rates_pass_the_max_min_certificate(
+        fat in prop::bool::ANY,
+        flows in prop::collection::vec(
+            (0usize..64, 0usize..64, 1u64..2048, 0.25..3.0f64),
+            2..128,
+        ),
+        second_at_ms in 0u64..200,
+        checks_ms in prop::collection::vec(0u64..400, 1..5),
+    ) {
+        let topo = if fat {
+            Topology::fat_tree(4)
+        } else {
+            Topology::multi_root_tree(4, 14, 2)
+        };
+        let hosts: Vec<_> = topo.hosts().map(|h| h.id).collect();
+        let specs: Vec<FlowSpec> = flows
+            .iter()
+            .map(|&(src, dst, kib, weight)| {
+                FlowSpec::new(hosts[src % hosts.len()], hosts[dst % hosts.len()], Bytes::kib(kib))
+                    .with_weight(weight)
+            })
+            .collect();
+        let (first, second) = specs.split_at(specs.len() / 2);
+        let second_at = SimTime::ZERO + SimDuration::from_millis(second_at_ms);
+        let mut checks: Vec<SimTime> = checks_ms
+            .iter()
+            .map(|&ms| SimTime::ZERO + SimDuration::from_millis(ms))
+            .collect();
+        checks.sort();
+        let policy = RoutingPolicy::default();
+        for workers in [1, 2] {
+            let mut sim = FlowSimulator::new(topo.clone(), policy, RateAllocator::MaxMin)
+                .with_workers(workers);
+            let mut router = Router::new(policy);
+            let mut cert = Vec::with_capacity(specs.len());
+            inject_certified(&mut sim, &mut router, &mut cert, first, SimTime::ZERO);
+            certify_max_min(&topo, &sim, &cert)?;
+            let mut pending = Some(second);
+            for &at in &checks {
+                if let Some(batch) = pending.filter(|_| second_at <= at) {
+                    inject_certified(&mut sim, &mut router, &mut cert, batch, second_at);
+                    pending = None;
+                    certify_max_min(&topo, &sim, &cert)?;
+                }
+                sim.advance_to(at);
+                certify_max_min(&topo, &sim, &cert)?;
+            }
         }
     }
 
