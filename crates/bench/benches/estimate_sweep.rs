@@ -13,18 +13,25 @@
 //! worst p99 relative error observed — the same bound
 //! `tests/estimate.rs` asserts against the oracle. It also times the
 //! estimator alone on the hardest scenario (all-remote traffic on the
-//! tightest fabric). Each side is timed as the fastest of three rounds.
-//! The committed `BENCH_estimate.json` reads 6.8× (898 ms exact, 133 ms
-//! estimate), nine runs on a 2-core VM read 5.8–7.8×, and the in-bench
-//! guard holds a ≥ 5× floor (EXPERIMENTS.md §S2). Wall-clock lives here
-//! and only here: simulation crates never read the clock (lint rule D2).
+//! tightest fabric), and counts its allocation calls there. Each side is
+//! timed as the fastest of three rounds. The committed
+//! `BENCH_estimate.json` reads 13.0× (559 ms exact, 43 ms estimate),
+//! nine runs on a 2-core VM read 7.9–13.4×, and the in-bench guards
+//! hold a ≥ 5× floor and an allocation ceiling (EXPERIMENTS.md §S2).
+//! Wall-clock lives here and only here: simulation crates never read
+//! the clock (lint rule D2).
 
 use picloud::experiments::estimate_exp::{self, EstimateExperiment, Scenario, HARDEST};
+use picloud_bench::allocs;
 use picloud_bench::report::{per_call_ns, Report};
 use picloud_network::flowsim::partition::default_workers;
 use picloud_simcore::{EDist, SimDuration};
+use std::hint::black_box;
 
 const LAYER: &str = "network.estimate";
+
+#[global_allocator]
+static ALLOCATOR: allocs::Counting = allocs::Counting;
 
 /// Bench seed (the paper seed) and sweep horizon. The horizon is long
 /// enough that the exact solver pays real contention (tens of thousands
@@ -33,9 +40,15 @@ const SEED: u64 = 2013;
 const HORIZON_SECS: u64 = 40;
 
 /// In-bench speedup floor: estimate must clear 5× over exact on the
-/// identical sweep. Measured runs read 5.8–7.8× on a 2-core VM
+/// identical sweep. Measured runs read 7.9–13.4× on a 2-core VM
 /// (EXPERIMENTS.md §S2); the floor leaves room for host load.
 const SPEEDUP_FLOOR: f64 = 5.0;
+
+/// In-bench ceiling on allocation calls per `estimate` of the hardest
+/// scenario at one worker. The pipeline allocates per endpoint, path
+/// and cluster, not per flow (888 calls there); one allocation per flow
+/// would add about 9,000.
+const HARDEST_ALLOCS_CEILING: f64 = 1_200.0;
 
 /// One workload per sweep point, generated once and replayed at both
 /// fidelities so the comparison times solving, not generation.
@@ -100,6 +113,12 @@ fn main() {
     // traffic on the tightest fabric.
     let hardest = &scenarios[HARDEST];
     let hardest_ms = per_call_ns(5, 1, || estimate_dist(hardest, workers)) / 1e6;
+    // Its allocation calls on one worker: a deterministic count, so it
+    // gates what the wall-clock rows cannot.
+    let hardest_allocs = allocs::per_unit(|| {
+        black_box(hardest.estimate(1));
+        1
+    });
 
     let bound = EstimateExperiment::P99_ERROR_BOUND;
     Report::new("estimate", SEED, workers)
@@ -113,6 +132,7 @@ fn main() {
         .row(LAYER, "max_p99_rel_err", "ratio", result.max_p99_rel_err)
         .row(LAYER, "p99_rel_err_bound", "ratio", bound)
         .row(LAYER, "estimate_ms.hardest", "ms", hardest_ms)
+        .row(LAYER, "allocs.estimate.hardest", "count", hardest_allocs)
         .write();
 
     assert!(
@@ -121,6 +141,11 @@ fn main() {
          ({:.0} ms exact vs {:.0} ms estimate)",
         result.exact_ms,
         result.estimate_ms
+    );
+    assert!(
+        hardest_allocs <= HARDEST_ALLOCS_CEILING,
+        "{hardest_allocs} allocation calls per estimate of the hardest scenario \
+         (ceiling {HARDEST_ALLOCS_CEILING})"
     );
     assert!(
         result.max_p99_rel_err <= bound,

@@ -28,6 +28,7 @@
 //! `workers` is the pool size the fat-tree section ran with; the 56-host
 //! section always runs on one worker.
 
+use picloud_bench::allocs;
 use picloud_bench::report::{fastest_ns, per_call_ns, Report};
 use picloud_network::flow::FlowSpec;
 use picloud_network::flowsim::{FlowSimulator, RateAllocator};
@@ -39,67 +40,8 @@ use picloud_workloads::traffic::TrafficPattern;
 
 const LAYER: &str = "network.flowsim";
 
-/// A counting wrapper around the system allocator: while a count is
-/// running, every `alloc`, `alloc_zeroed` and `realloc` call adds one.
-mod allocs {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::Ordering::Relaxed;
-    use std::sync::atomic::{AtomicBool, AtomicU64};
-
-    // Statistics only: they publish no other data, so `Relaxed` suffices.
-    static COUNTING: AtomicBool = AtomicBool::new(false);
-    static CALLS: AtomicU64 = AtomicU64::new(0);
-
-    struct Counting;
-
-    #[global_allocator]
-    static ALLOCATOR: Counting = Counting;
-
-    fn note() {
-        if COUNTING.load(Relaxed) {
-            CALLS.fetch_add(1, Relaxed);
-        }
-    }
-
-    // SAFETY: every method forwards its arguments unchanged to `System`,
-    // which upholds the `GlobalAlloc` contract; the counter only observes
-    // the calls and never touches the memory.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            note();
-            // SAFETY: the caller's `alloc` contract is passed on as is.
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            note();
-            // SAFETY: the caller's `alloc_zeroed` contract is passed on as is.
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: `ptr` came from this allocator, i.e. from `System`,
-            // with this `layout`, as the caller guarantees.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            note();
-            // SAFETY: the caller's `realloc` contract is passed on as is.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    /// Allocation calls `run` makes per unit of work it reports (at
-    /// least one unit is counted).
-    pub fn per_unit(run: impl FnOnce() -> u64) -> f64 {
-        CALLS.store(0, Relaxed);
-        COUNTING.store(true, Relaxed);
-        let units = run();
-        COUNTING.store(false, Relaxed);
-        CALLS.load(Relaxed) as f64 / units.max(1) as f64
-    }
-}
+#[global_allocator]
+static ALLOCATOR: allocs::Counting = allocs::Counting;
 
 /// Seed of the Pareto-mix traffic the 56-host section draws.
 const SEED: u64 = 42;

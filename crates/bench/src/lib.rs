@@ -7,6 +7,8 @@
 //! (`picloud::experiments::REGISTRY`) at the paper seed; the others time
 //! hot paths of the emulator itself — flow solver, estimator, telemetry
 //! and chaos harness. Each writes `BENCH_<bench>.json` at the repository
-//! root.
+//! root. Targets that gate allocation counts install [`allocs::Counting`]
+//! as their global allocator.
 
+pub mod allocs;
 pub mod report;

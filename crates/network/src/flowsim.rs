@@ -759,18 +759,19 @@ impl FlowSimulator {
         let mut routed = Vec::with_capacity(specs.len());
         for (k, spec) in specs.into_iter().enumerate() {
             let id = FlowId(self.next_id + k as u64);
-            let path = match self.router.route(&self.topo, spec.src, spec.dst, id) {
-                Some(p) => p,
+            let route = match self.router.route(&self.topo, spec.src, spec.dst, id) {
+                Some(r) => r,
                 None => return Err(InjectError::NoRoute { spec }),
             };
-            routed.push((id, spec, path));
+            routed.push((id, spec, route));
         }
         let mut ids = Vec::with_capacity(routed.len());
         let mut seeds = std::mem::take(&mut self.scratch.seeds);
-        for (id, spec, path) in routed {
+        for (id, spec, route) in routed {
             self.next_id += 1;
             ids.push(id);
-            let resources = self.path_resources(spec.src, &path);
+            let path = self.router.path(route);
+            let resources = self.path_resources(spec.src, path);
             let prop_latency = path
                 .iter()
                 .map(|l| self.topo.link(*l).latency)
@@ -789,7 +790,7 @@ impl FlowSimulator {
             let flow = Flow {
                 id,
                 spec,
-                path,
+                path: path.to_vec(),
                 started: at,
                 remaining_bits: size_bits,
                 rate_bps: 0.0,

@@ -10,7 +10,9 @@
 //! 1. **Features** — every loaded link direction ("resource") gets a
 //!    traffic feature vector read off one routing pass: offered load,
 //!    flow count, flow-size mix, fan-in/fan-out degree and capacity
-//!    tier (see [`LinkFeatures`]).
+//!    tier (see [`LinkFeatures`]). The pass routes each endpoint pair
+//!    once and reads each path it picks once; a flow carries only its
+//!    path's index.
 //! 2. **Clustering** — a deterministic, seeded greedy pass groups
 //!    resources whose min–max-normalised features sit within
 //!    [`EPSILON`] of a cluster representative under the
@@ -36,6 +38,7 @@
 
 use crate::flow::{FlowId, FlowSpec};
 use crate::flowsim::{partition, RateAllocator};
+use crate::lists::FlatLists;
 use crate::routing::{Router, RoutingPolicy};
 use crate::topology::Topology;
 use picloud_simcore::units::Bytes;
@@ -174,7 +177,9 @@ pub struct FlowPrediction {
     /// Contention-free completion time (bottleneck-rate transfer plus
     /// path propagation), seconds.
     pub ideal_secs: f64,
-    /// Max composed slowdown over the clusters on the flow's path.
+    /// Composed slowdown over the distinct clusters on the flow's path:
+    /// `1 + max + BLEND * (sum - max)` of their sampled excess delays
+    /// (see [`BLEND`]).
     pub slowdown: f64,
     /// Predicted flow-completion time, seconds
     /// (`ideal_secs * slowdown`).
@@ -208,14 +213,40 @@ impl EstimateOutcome {
     }
 }
 
-/// A routed workload flow, reduced to what estimation needs.
+/// A routable workload flow: what estimation adds to its spec.
 struct RoutedFlow {
-    start: SimTime,
-    size_bits: f64,
-    size: Bytes,
-    weight: f64,
-    resources: Vec<usize>,
+    /// Index of the flow's `(arrival, spec)` in the workload.
+    event: u32,
+    /// The flow's path: a list index in [`RoutedWorkload::paths`].
+    path: u32,
+    /// Contention-free completion time, seconds.
     ideal_secs: f64,
+}
+
+/// The workload after one routing pass: its routable flows in workload
+/// order and every distinct path they take.
+struct RoutedWorkload<'a> {
+    events: &'a [(SimTime, FlowSpec)],
+    flows: Vec<RoutedFlow>,
+    /// Each path's directed resources, in order from its source.
+    paths: FlatLists<usize>,
+}
+
+impl RoutedWorkload<'_> {
+    /// The arrival and spec of `f`.
+    fn event(&self, f: &RoutedFlow) -> &(SimTime, FlowSpec) {
+        &self.events[f.event as usize]
+    }
+
+    /// The directed resources `f` crosses.
+    fn resources(&self, f: &RoutedFlow) -> &[usize] {
+        self.paths.get(f.path as usize)
+    }
+}
+
+/// A spec's transfer size in bits.
+fn size_bits(spec: &FlowSpec) -> f64 {
+    spec.size.as_u64() as f64 * 8.0
 }
 
 /// An owned representative job: one cluster's exact single-link replay.
@@ -288,14 +319,13 @@ impl FlowEstimator {
         let mut bits_on = vec![0.0f64; n_res];
         let mut count_on = vec![0u32; n_res];
         let mut log2_sum = vec![0.0f64; n_res];
-        let mut flows_on: Vec<Vec<u32>> = vec![Vec::new(); n_res];
-        for (i, f) in routed.iter().enumerate() {
-            let log2_bits = f.size_bits.max(1.0).log2();
-            for &r in &f.resources {
-                bits_on[r] += f.size_bits;
+        for f in &routed.flows {
+            let size_bits = size_bits(&routed.event(f).1);
+            let log2_bits = size_bits.max(1.0).log2();
+            for &r in routed.resources(f) {
+                bits_on[r] += size_bits;
                 count_on[r] += 1;
                 log2_sum[r] += log2_bits;
-                flows_on[r].push(i as u32);
             }
         }
         let loaded: Vec<usize> = (0..n_res).filter(|&r| count_on[r] > 0).collect();
@@ -303,8 +333,35 @@ impl FlowEstimator {
         // --- 2. Seeded greedy clustering over normalised features. ---
         let seeds = SeedFactory::new(self.config.seed);
         let clusters = cluster_links(&features, &seeds);
+        // Each path's distinct clusters, in first-crossing order, and
+        // the clusters whose representative it crosses, listed once per
+        // path rather than once per flow.
+        let mut cluster_of: Vec<Option<u32>> = vec![None; n_res];
+        let mut rep_of: Vec<Option<u32>> = vec![None; n_res];
+        for (ci, c) in clusters.iter().enumerate() {
+            for &m in &c.members {
+                cluster_of[m] = Some(ci as u32);
+            }
+            rep_of[c.representative] = Some(ci as u32);
+        }
+        let mut on_path = FlatLists::default();
+        let mut reps_on_path = FlatLists::default();
+        for p in 0..routed.paths.len() {
+            for &r in routed.paths.get(p) {
+                if let Some(ci) = cluster_of[r] {
+                    if !on_path.open().contains(&ci) {
+                        on_path.push(ci);
+                    }
+                }
+                if let Some(ci) = rep_of[r] {
+                    reps_on_path.push(ci);
+                }
+            }
+            on_path.close();
+            reps_on_path.close();
+        }
         // --- 3. One exact replay per representative, fanned out. -----
-        let jobs: Vec<RepJob> = clusters
+        let mut jobs: Vec<RepJob> = clusters
             .iter()
             .map(|c| {
                 let r = c.representative;
@@ -312,56 +369,46 @@ impl FlowEstimator {
                 RepJob {
                     capacity_bps: link.capacity.as_bps(),
                     latency: link.latency,
-                    flows: flows_on[r]
-                        .iter()
-                        .map(|&i| {
-                            let f = &routed[i as usize];
-                            (f.start, f.size, f.weight)
-                        })
-                        .collect(),
+                    flows: Vec::with_capacity(count_on[r] as usize),
                 }
             })
             .collect();
+        for f in &routed.flows {
+            let (at, spec) = routed.event(f);
+            for &ci in reps_on_path.get(f.path as usize) {
+                jobs[ci as usize].flows.push((*at, spec.size, spec.weight));
+            }
+        }
         let rep_flows_solved: usize = jobs.iter().map(|j| j.flows.len()).sum();
         let allocator = self.allocator;
         let dists: Vec<EDist> = partition::SolverPool::new(self.workers)
             .run_ordered(jobs, move |_, job| run_representative(&job, allocator));
-        // --- 4. Compose predictions: max slowdown over path clusters,
-        //        sampled comonotonically (one draw coordinate per flow).
-        let mut cluster_of: Vec<Option<u32>> = vec![None; n_res];
-        for (ci, c) in clusters.iter().enumerate() {
-            for &m in &c.members {
-                cluster_of[m] = Some(ci as u32);
-            }
-        }
+        // --- 4. Compose predictions: the blended slowdown over the
+        //        clusters on the flow's path, sampled comonotonically
+        //        (one draw coordinate per flow).
         let mut draw = seeds.stream("estimate/draw");
         let predictions: Vec<FlowPrediction> = routed
+            .flows
             .iter()
             .map(|f| {
                 let u: f64 = draw.gen_range(0.0..1.0);
                 let mut max_excess = 0.0f64;
                 let mut sum_excess = 0.0f64;
-                let mut seen: Vec<u32> = Vec::with_capacity(f.resources.len());
-                for &r in &f.resources {
-                    if let Some(ci) = cluster_of[r] {
-                        if seen.contains(&ci) {
-                            continue;
-                        }
-                        seen.push(ci);
-                        let d = &dists[ci as usize];
-                        if !d.is_empty() {
-                            let e = (d.sample_at(u) - 1.0).max(0.0);
-                            sum_excess += e;
-                            max_excess = max_excess.max(e);
-                        }
+                for &ci in on_path.get(f.path as usize) {
+                    let d = &dists[ci as usize];
+                    if !d.is_empty() {
+                        let e = (d.sample_at(u) - 1.0).max(0.0);
+                        sum_excess += e;
+                        max_excess = max_excess.max(e);
                     }
                 }
                 // Blend between the fluid-model bottleneck rule (max)
                 // and additive per-hop delay accumulation (sum).
                 let slowdown = 1.0 + max_excess + BLEND * (sum_excess - max_excess);
+                let (at, spec) = routed.event(f);
                 FlowPrediction {
-                    start: f.start,
-                    size_bits: f.size_bits,
+                    start: *at,
+                    size_bits: size_bits(spec),
                     ideal_secs: f.ideal_secs,
                     slowdown,
                     fct_secs: f.ideal_secs * slowdown,
@@ -376,44 +423,74 @@ impl FlowEstimator {
         }
     }
 
-    /// Routes every spec once, recording path resources and the
+    /// Routes every spec once, recording each flow's path and its
     /// contention-free ideal FCT (bottleneck-rate transfer + summed
-    /// propagation).
-    fn route_workload(&self, events: &[(SimTime, FlowSpec)]) -> Vec<RoutedFlow> {
+    /// propagation). Each endpoint pair is routed by one walk, and each
+    /// path's resources, latency and bottleneck are read the first time
+    /// a flow takes it; later flows on the path allocate nothing.
+    fn route_workload<'a>(&self, events: &'a [(SimTime, FlowSpec)]) -> RoutedWorkload<'a> {
         let mut router = Router::new(self.policy);
-        let mut out = Vec::with_capacity(events.len());
-        for (k, (at, spec)) in events.iter().enumerate() {
-            let Some(path) = router.route(&self.topo, spec.src, spec.dst, FlowId(k as u64)) else {
+        // Router path index -> list index in `out.paths`, `u32::MAX`
+        // until a flow takes the path.
+        let mut local: Vec<u32> = Vec::new();
+        // Each path's summed latency and bottleneck capacity in bits/s
+        // (infinite for an empty path), by list index.
+        let mut facts: Vec<(SimDuration, f64)> = Vec::new();
+        let mut out = RoutedWorkload {
+            events,
+            flows: Vec::with_capacity(events.len()),
+            paths: FlatLists::default(),
+        };
+        for (k, (_, spec)) in events.iter().enumerate() {
+            let Some(chosen) = router.route(&self.topo, spec.src, spec.dst, FlowId(k as u64))
+            else {
                 continue;
             };
-            let mut cur = spec.src;
-            let mut resources = Vec::with_capacity(path.len());
-            let mut latency = SimDuration::ZERO;
-            let mut bottleneck_bps = f64::INFINITY;
-            for &lid in &path {
-                let link = self.topo.link(lid);
-                let forward = cur == link.a;
-                resources.push(lid.index() * 2 + usize::from(!forward));
-                latency = latency.saturating_add(link.latency);
-                bottleneck_bps = bottleneck_bps.min(link.capacity.as_bps() as f64);
-                cur = link.other_end(cur);
+            if local.len() <= chosen {
+                local.resize(chosen + 1, u32::MAX);
             }
-            let size_bits = spec.size.as_u64() as f64 * 8.0;
+            if local[chosen] == u32::MAX {
+                local[chosen] = out.paths.len() as u32;
+                facts.push(self.read_path(spec.src, router.path(chosen), &mut out.paths));
+            }
+            let path = local[chosen];
+            let (latency, bottleneck_bps) = facts[path as usize];
             let transfer = if bottleneck_bps.is_finite() && bottleneck_bps > 0.0 {
-                size_bits / bottleneck_bps
+                size_bits(spec) / bottleneck_bps
             } else {
                 0.0
             };
-            out.push(RoutedFlow {
-                start: *at,
-                size_bits,
-                size: spec.size,
-                weight: spec.weight,
-                resources,
+            out.flows.push(RoutedFlow {
+                event: k as u32,
+                path,
                 ideal_secs: transfer + latency.as_secs_f64(),
             });
         }
         out
+    }
+
+    /// Reads `path` from `src` once: adds its directed resources to
+    /// `paths` as one list and returns its summed latency and
+    /// bottleneck capacity.
+    fn read_path(
+        &self,
+        src: crate::topology::DeviceId,
+        path: &[crate::topology::LinkId],
+        paths: &mut FlatLists<usize>,
+    ) -> (SimDuration, f64) {
+        let mut cur = src;
+        let mut latency = SimDuration::ZERO;
+        let mut bottleneck_bps = f64::INFINITY;
+        for &lid in path {
+            let link = self.topo.link(lid);
+            let forward = cur == link.a;
+            paths.push(lid.index() * 2 + usize::from(!forward));
+            latency = latency.saturating_add(link.latency);
+            bottleneck_bps = bottleneck_bps.min(link.capacity.as_bps() as f64);
+            cur = link.other_end(cur);
+        }
+        paths.close();
+        (latency, bottleneck_bps)
     }
 
     /// Builds the per-resource feature vectors for the loaded set.
@@ -423,22 +500,15 @@ impl FlowEstimator {
         bits_on: &[f64],
         count_on: &[u32],
         log2_sum: &[f64],
-        routed: &[RoutedFlow],
+        routed: &RoutedWorkload<'_>,
     ) -> Vec<LinkFeatures> {
         // Horizon: the workload's arrival span plus the drain time of
         // the busiest link — a pure function of the inputs, so offered
         // load is deterministic. (Uniform scaling cancels in the
         // min–max normalisation anyway.)
-        let t0 = routed
-            .iter()
-            .map(|f| f.start)
-            .min()
-            .unwrap_or(SimTime::ZERO);
-        let t1 = routed
-            .iter()
-            .map(|f| f.start)
-            .max()
-            .unwrap_or(SimTime::ZERO);
+        let starts = || routed.flows.iter().map(|f| routed.event(f).0);
+        let t0 = starts().min().unwrap_or(SimTime::ZERO);
+        let t1 = starts().max().unwrap_or(SimTime::ZERO);
         let span = t1.saturating_duration_since(t0).as_secs_f64();
         let worst_drain = loaded
             .iter()

@@ -5,6 +5,7 @@
 //! for the redundancy comparison between the multi-root tree and the
 //! fat-tree re-cable.
 
+use crate::lists::FlatLists;
 use crate::topology::{DeviceId, LinkId, Topology};
 use picloud_simcore::units::Bandwidth;
 use std::collections::VecDeque;
@@ -96,81 +97,91 @@ pub fn all_shortest_paths(
 ) -> Vec<Vec<LinkId>> {
     let dist = bfs_distances(topo, src);
     let rdist = bfs_distances(topo, dst);
-    shortest_paths_from_rows(topo, src, dst, &dist, &rdist, limit)
+    let mut paths = FlatLists::default();
+    PathWalk::default().append(topo, (src, &dist), (dst, &rdist), limit, &mut paths);
+    (0..paths.len()).map(|i| paths.get(i).to_vec()).collect()
 }
 
-/// [`all_shortest_paths`] from precomputed BFS rows: `dist` is
-/// [`bfs_distances`] from `src`, `rdist` from `dst`. A caller that keeps
-/// one row per endpoint (the [`crate::routing::Router`]) routes every
-/// pair among `n` endpoints with `n` BFS passes instead of two per pair,
-/// and gets the same paths in the same order.
-pub(crate) fn shortest_paths_from_rows(
-    topo: &Topology,
-    src: DeviceId,
-    dst: DeviceId,
-    dist: &[u32],
-    rdist: &[u32],
-    limit: usize,
-) -> Vec<Vec<LinkId>> {
-    if src == dst {
-        return vec![Vec::new()];
-    }
-    let total = dist[dst.index()];
-    if total == u32::MAX || limit == 0 {
-        return Vec::new();
-    }
-    // Reverse distances prune DFS branches that cannot lie on any shortest
-    // path (a node is on one iff dist_src + dist_dst == total). Without
-    // this the DFS walks every strictly-increasing-level path in the
-    // graph — on a k=16 fat-tree a same-rack pair explores ~60k dead-end
-    // paths through the core before giving up. The pruned branches yield
-    // no results, so the returned paths and their order are unchanged.
-    let mut walk = PathWalk {
-        topo,
-        dist,
-        rdist,
-        total,
-        dst,
-        limit,
-        stack: Vec::new(),
-        nexts: Vec::new(),
-        results: Vec::new(),
-    };
-    walk.dfs(src);
-    walk.results
-}
-
-/// The state of [`shortest_paths_from_rows`]' depth-first walk forward
-/// along strictly-increasing BFS levels.
-struct PathWalk<'a> {
-    topo: &'a Topology,
-    dist: &'a [u32],
-    rdist: &'a [u32],
-    total: u32,
-    dst: DeviceId,
-    limit: usize,
+/// The pruned depth-first walk behind [`all_shortest_paths`] and the
+/// [`crate::routing::Router`]'s path arena. Its buffers are kept
+/// between walks, so once they have grown a walk allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PathWalk {
     /// The links of the current partial path.
     stack: Vec<LinkId>,
     /// The candidate next hops of every open level, one segment per
     /// level, so the walk allocates no per-node list.
     nexts: Vec<(DeviceId, LinkId)>,
-    results: Vec<Vec<LinkId>>,
 }
 
-impl PathWalk<'_> {
-    fn dfs(&mut self, cur: DeviceId) {
-        if self.results.len() >= self.limit {
+/// What one walk looks for: shortest paths to `dst`, `total` hops long,
+/// until `until` paths are stored.
+struct Goal<'a> {
+    topo: &'a Topology,
+    dist: &'a [u32],
+    rdist: &'a [u32],
+    total: u32,
+    dst: DeviceId,
+    until: usize,
+}
+
+impl PathWalk {
+    /// Appends to `out`, one list each, the shortest paths from `src` to
+    /// `dst`, at most `limit` of them, in link-id lexicographic order.
+    /// Each endpoint comes with its [`bfs_distances`] row: a caller that
+    /// keeps one row per endpoint (the router) routes every pair among
+    /// `n` endpoints with `n` BFS passes instead of two per pair. A
+    /// device's one path to itself is empty.
+    pub(crate) fn append(
+        &mut self,
+        topo: &Topology,
+        (src, dist): (DeviceId, &[u32]),
+        (dst, rdist): (DeviceId, &[u32]),
+        limit: usize,
+        out: &mut FlatLists<LinkId>,
+    ) {
+        if src == dst {
+            out.close();
             return;
         }
-        if cur == self.dst {
-            self.results.push(self.stack.clone());
+        let total = dist[dst.index()];
+        if total == u32::MAX || limit == 0 {
+            return;
+        }
+        let goal = Goal {
+            topo,
+            dist,
+            rdist,
+            total,
+            dst,
+            until: out.len().saturating_add(limit),
+        };
+        self.walk(&goal, src, out);
+    }
+
+    /// The walk forward along strictly-increasing BFS levels. Reverse
+    /// distances prune branches that cannot lie on any shortest path (a
+    /// node is on one iff dist_src + dist_dst == total). Without this the
+    /// walk visits every strictly-increasing path in the graph — on a
+    /// k=16 fat-tree a same-rack pair explores ~60k dead-end paths
+    /// through the core before giving up. The pruned branches yield no
+    /// paths, so the paths and their order are those of the full walk.
+    fn walk(&mut self, goal: &Goal<'_>, cur: DeviceId, out: &mut FlatLists<LinkId>) {
+        if out.len() >= goal.until {
+            return;
+        }
+        if cur == goal.dst {
+            for &link in &self.stack {
+                out.push(link);
+            }
+            out.close();
             return;
         }
         // Deterministic order: sort candidate edges by link id.
-        let (dist, rdist, total) = (self.dist, self.rdist, self.total);
+        let (dist, rdist, total) = (goal.dist, goal.rdist, goal.total);
         let base = self.nexts.len();
         self.nexts
-            .extend(self.topo.neighbours(cur).iter().copied().filter(|(n, _)| {
+            .extend(goal.topo.neighbours(cur).iter().copied().filter(|(n, _)| {
                 dist[n.index()] == dist[cur.index()] + 1
                     && rdist[n.index()] != u32::MAX
                     && dist[n.index()] + rdist[n.index()] == total
@@ -182,7 +193,7 @@ impl PathWalk<'_> {
         for k in base..end {
             let (next, link) = self.nexts[k];
             self.stack.push(link);
-            self.dfs(next);
+            self.walk(goal, next, out);
             self.stack.pop();
         }
         self.nexts.truncate(base);

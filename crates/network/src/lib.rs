@@ -33,6 +33,7 @@ pub mod failure;
 pub mod flow;
 pub mod flowsim;
 pub mod graph;
+mod lists;
 pub mod routing;
 pub mod topology;
 

@@ -5,23 +5,27 @@
 //! single shortest-path routing (what a spanning tree would give the
 //! original Ethernet fabric) and (b) ECMP across all equal-cost shortest
 //! paths (what the SDN controller installs in the fat-tree). The
-//! [`Router`] precomputes candidate paths lazily per `(src, dst)` pair and
+//! [`Router`] computes candidate paths lazily per `(src, dst)` pair and
 //! picks deterministically per flow.
 //!
-//! Candidates come from the pruned depth-first walk behind
-//! [`graph::all_shortest_paths`], which needs the BFS hop distances from
-//! both endpoints. The router keeps one such distance row per endpoint
-//! device it has seen, so a cold pair costs only the walk once both of
-//! its rows exist: routing every pair among `n` hosts takes `n` BFS
-//! passes rather than two per pair. The rows describe the topology they
-//! were computed on; [`Router::invalidate`] drops them with the path
-//! cache.
+//! Every pair's candidates live in one flat path arena, appended by the
+//! pruned depth-first walk behind [`graph::all_shortest_paths`] the first
+//! time the pair is asked for; a path is named by its index in the
+//! arena ([`Router::route`], [`Router::path`]). A pair is found through
+//! a per-source row indexed by destination, allocated when the source
+//! is first routed from, so a warm lookup is two index operations and
+//! allocates nothing. The walk needs the BFS hop distances from both
+//! endpoints; the router keeps one such row per endpoint device it has
+//! seen, so routing every pair among `n` hosts takes `n` BFS passes
+//! rather than two per pair. The rows and paths describe the topology
+//! they were computed on; [`Router::invalidate`] drops them all.
 
 use crate::flow::FlowId;
-use crate::graph;
+use crate::graph::{self, PathWalk};
+use crate::lists::FlatLists;
 use crate::topology::{DeviceId, LinkId, Topology};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// How paths are chosen for flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -43,6 +47,9 @@ impl Default for RoutingPolicy {
     }
 }
 
+/// A pair-row entry for a pair whose candidates are not computed yet.
+const UNROUTED: (u32, u32) = (u32::MAX, u32::MAX);
+
 /// A path cache + selector over one topology.
 ///
 /// # Example
@@ -55,15 +62,22 @@ impl Default for RoutingPolicy {
 /// let topo = Topology::multi_root_tree(2, 2, 2);
 /// let mut router = Router::new(RoutingPolicy::default());
 /// let hosts: Vec<_> = topo.hosts().map(|h| h.id).collect();
-/// let path = router.route(&topo, hosts[0], hosts[3], FlowId(1)).unwrap();
-/// assert!(!path.is_empty());
+/// let chosen = router.route(&topo, hosts[0], hosts[3], FlowId(1)).unwrap();
+/// assert!(router.candidates(&topo, hosts[0], hosts[3]).contains(&chosen));
+/// assert!(!router.path(chosen).is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Router {
     policy: RoutingPolicy,
-    // BTreeMap, not HashMap: the cache is simulation-visible state and
-    // its iteration order must never leak into route selection (D1).
-    cache: BTreeMap<(DeviceId, DeviceId), Vec<Vec<LinkId>>>,
+    /// Every candidate path of every pair computed so far, one list of
+    /// links each: the path arena.
+    paths: FlatLists<LinkId>,
+    /// The walk that appends a pair's candidates to `paths`.
+    walk: PathWalk,
+    /// Per source device, a row indexed by destination device holding
+    /// the pair's candidates as a `start..end` range of arena indices,
+    /// or [`UNROUTED`]; an empty row is not allocated yet.
+    pairs: Vec<Vec<(u32, u32)>>,
     /// BFS hop distances from each endpoint device, indexed by device;
     /// an empty row is not computed yet.
     rows: Vec<Vec<u32>>,
@@ -74,7 +88,9 @@ impl Router {
     pub fn new(policy: RoutingPolicy) -> Self {
         Router {
             policy,
-            cache: BTreeMap::new(),
+            paths: FlatLists::default(),
+            walk: PathWalk::default(),
+            pairs: Vec::new(),
             rows: Vec::new(),
         }
     }
@@ -84,21 +100,21 @@ impl Router {
         self.policy
     }
 
-    /// Chooses a path for `flow` from `src` to `dst`, or `None` if
-    /// unreachable. Results are deterministic in `(src, dst, flow)`.
+    /// Chooses a path for `flow` from `src` to `dst` and returns its
+    /// index for [`Router::path`], or `None` if unreachable. Results are
+    /// deterministic in `(src, dst, flow)`.
     pub fn route(
         &mut self,
         topo: &Topology,
         src: DeviceId,
         dst: DeviceId,
         flow: FlowId,
-    ) -> Option<Vec<LinkId>> {
-        let policy = self.policy;
+    ) -> Option<usize> {
         let candidates = self.candidates(topo, src, dst);
         if candidates.is_empty() {
             return None;
         }
-        let pick = match policy {
+        let pick = match self.policy {
             RoutingPolicy::SingleShortest => 0,
             RoutingPolicy::Ecmp { .. } => {
                 // SplitMix64 over the flow id: cheap, deterministic, well
@@ -110,41 +126,65 @@ impl Router {
                 (z % candidates.len() as u64) as usize
             }
         };
-        Some(candidates[pick].clone())
+        Some(candidates.start + pick)
     }
 
-    /// All candidate paths for a pair (cached after first computation):
-    /// exactly [`graph::all_shortest_paths`] at the policy's path limit.
-    pub fn candidates(&mut self, topo: &Topology, src: DeviceId, dst: DeviceId) -> &[Vec<LinkId>] {
+    /// The links of the path at `index`, as returned by
+    /// [`Router::route`] or within [`Router::candidates`], in order from
+    /// its source.
+    ///
+    /// # Panics
+    ///
+    /// If no path has that index (a stale index after
+    /// [`Router::invalidate`], or one from another router).
+    pub fn path(&self, index: usize) -> &[LinkId] {
+        self.paths.get(index)
+    }
+
+    /// The indices of every candidate path for a pair (computed on first
+    /// use): exactly [`graph::all_shortest_paths`] at the policy's path
+    /// limit, in the same order.
+    pub fn candidates(&mut self, topo: &Topology, src: DeviceId, dst: DeviceId) -> Range<usize> {
+        let n = topo.devices().len();
+        if self.rows.len() < n {
+            self.rows.resize_with(n, Vec::new);
+            self.pairs.resize_with(n, Vec::new);
+        }
+        let row = &mut self.pairs[src.index()];
+        if row.is_empty() {
+            *row = vec![UNROUTED; n];
+        }
+        let (start, end) = row[dst.index()];
+        if (start, end) != UNROUTED {
+            return start as usize..end as usize;
+        }
         let limit = match self.policy {
             RoutingPolicy::SingleShortest => 1,
             RoutingPolicy::Ecmp { max_paths } => max_paths.max(1),
         };
-        let Router { cache, rows, .. } = self;
-        cache.entry((src, dst)).or_insert_with(|| {
-            if rows.len() < topo.devices().len() {
-                rows.resize_with(topo.devices().len(), Vec::new);
+        for end in [src, dst] {
+            if self.rows[end.index()].is_empty() {
+                self.rows[end.index()] = graph::bfs_distances(topo, end);
             }
-            for end in [src, dst] {
-                if rows[end.index()].is_empty() {
-                    rows[end.index()] = graph::bfs_distances(topo, end);
-                }
-            }
-            graph::shortest_paths_from_rows(
-                topo,
-                src,
-                dst,
-                &rows[src.index()],
-                &rows[dst.index()],
-                limit,
-            )
-        })
+        }
+        let start = self.paths.len();
+        self.walk.append(
+            topo,
+            (src, &self.rows[src.index()]),
+            (dst, &self.rows[dst.index()]),
+            limit,
+            &mut self.paths,
+        );
+        let end = self.paths.len();
+        self.pairs[src.index()][dst.index()] = (start as u32, end as u32);
+        start..end
     }
 
-    /// Discards the path cache and the BFS rows; call after the topology
-    /// changes (a re-cable, a link failure).
+    /// Discards every path, pair row and BFS row; call after the
+    /// topology changes (a re-cable, a link failure).
     pub fn invalidate(&mut self) {
-        self.cache.clear();
+        self.paths.clear();
+        self.pairs.clear();
         self.rows.clear();
     }
 }
@@ -154,6 +194,29 @@ mod tests {
     use super::*;
     use crate::topology::{DeviceKind, Topology};
     use std::collections::BTreeSet;
+
+    /// The links of every candidate `router` holds for `(a, b)`.
+    fn candidate_paths(
+        router: &mut Router,
+        topo: &Topology,
+        a: DeviceId,
+        b: DeviceId,
+    ) -> Vec<Vec<LinkId>> {
+        let candidates = router.candidates(topo, a, b);
+        candidates.map(|i| router.path(i).to_vec()).collect()
+    }
+
+    /// The links of the path `router` picks for `flow` from `a` to `b`.
+    fn routed(
+        router: &mut Router,
+        topo: &Topology,
+        a: DeviceId,
+        b: DeviceId,
+        flow: u64,
+    ) -> Option<Vec<LinkId>> {
+        let chosen = router.route(topo, a, b, FlowId(flow))?;
+        Some(router.path(chosen).to_vec())
+    }
 
     /// Asserts `router`, whose policy allows `limit` paths, answers every
     /// pair of `hosts` on `topo` exactly as `graph::all_shortest_paths`
@@ -167,8 +230,8 @@ mod tests {
         for &a in hosts {
             for &b in hosts {
                 assert_eq!(
-                    router.candidates(topo, a, b),
-                    graph::all_shortest_paths(topo, a, b, limit).as_slice(),
+                    candidate_paths(router, topo, a, b),
+                    graph::all_shortest_paths(topo, a, b, limit),
                     "{}: pair ({a:?}, {b:?}) at limit {limit}",
                     topo.name()
                 );
@@ -186,6 +249,7 @@ mod tests {
             .route(&topo, hosts[0], hosts[1], FlowId(999))
             .unwrap();
         assert_eq!(p1, p2);
+        assert_eq!(router.candidates(&topo, hosts[0], hosts[1]).len(), 1);
     }
 
     #[test]
@@ -194,7 +258,7 @@ mod tests {
         let hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
         let mut router = Router::new(RoutingPolicy::Ecmp { max_paths: 8 });
         let used: BTreeSet<Vec<LinkId>> = (0..64)
-            .map(|i| router.route(&topo, hosts[0], hosts[1], FlowId(i)).unwrap())
+            .map(|i| routed(&mut router, &topo, hosts[0], hosts[1], i).unwrap())
             .collect();
         assert!(
             used.len() >= 3,
@@ -211,10 +275,27 @@ mod tests {
         let mut r2 = Router::new(RoutingPolicy::default());
         for i in 0..32 {
             assert_eq!(
-                r1.route(&topo, hosts[0], hosts[15], FlowId(i)),
-                r2.route(&topo, hosts[0], hosts[15], FlowId(i))
+                routed(&mut r1, &topo, hosts[0], hosts[15], i),
+                routed(&mut r2, &topo, hosts[0], hosts[15], i)
             );
         }
+    }
+
+    #[test]
+    fn each_pair_is_walked_once() {
+        // Flows of a warm pair pick among the pair's first candidates;
+        // nothing is appended for them, and a new pair's paths follow.
+        let topo = Topology::fat_tree(4);
+        let hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
+        let mut router = Router::new(RoutingPolicy::default());
+        let there = router.candidates(&topo, hosts[0], hosts[15]);
+        assert_eq!(there, 0..4);
+        for flow in 0..64 {
+            let chosen = router.route(&topo, hosts[0], hosts[15], FlowId(flow));
+            assert!(there.contains(&chosen.unwrap()));
+        }
+        assert_eq!(router.candidates(&topo, hosts[0], hosts[15]), there);
+        assert_eq!(router.candidates(&topo, hosts[15], hosts[0]), 4..8);
     }
 
     #[test]
@@ -229,8 +310,8 @@ mod tests {
     #[test]
     fn fresh_routers_agree_on_all_pairs() {
         // Two routers built independently from the same topology must
-        // return identical paths for every (src, dst, flow) — the D1
-        // regression this file was converted to BTreeMap for.
+        // return identical paths for every (src, dst, flow), whatever
+        // order their arenas filled in.
         let topo = Topology::fat_tree(4);
         let hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
         let mut r1 = Router::new(RoutingPolicy::default());
@@ -251,8 +332,8 @@ mod tests {
             for &b in &hosts {
                 for flow in 0..4 {
                     assert_eq!(
-                        r1.route(&topo, a, b, FlowId(flow)),
-                        r2.route(&topo, a, b, FlowId(flow)),
+                        routed(&mut r1, &topo, a, b, flow),
+                        routed(&mut r2, &topo, a, b, flow),
                         "pair ({a:?}, {b:?}) flow {flow}"
                     );
                 }
@@ -282,7 +363,10 @@ mod tests {
                 let mut router = Router::new(policy);
                 assert_candidates_match(&mut router, &topo, &hosts, limit);
                 assert!(router.candidates(&topo, hosts[0], island).is_empty());
-                assert_eq!(router.candidates(&topo, island, island), [Vec::new()]);
+                assert_eq!(
+                    candidate_paths(&mut router, &topo, island, island),
+                    [Vec::new()]
+                );
             }
         }
         // The sweep covers pairs with several equal-cost paths.

@@ -123,10 +123,19 @@ impl TrafficPattern {
         let rack_of = |d: DeviceId| topo.device(d).kind.rack().expect("hosts have racks");
 
         let mut events: Vec<(SimTime, FlowSpec)> = Vec::new();
+        // The destinations each locality branch draws from, rebuilt once
+        // per source host: its rack peers and the hosts in other racks.
+        let mut peers: Vec<DeviceId> = Vec::new();
+        let mut others: Vec<DeviceId> = Vec::new();
         for (hi, &src) in hosts.iter().enumerate() {
             let mut rng = seeds.indexed_stream("traffic/host", hi as u64);
             // Deterministic per-host phase offset for the ON/OFF gate.
             let phase = rng.gen_range(0.0..self.cycle.as_secs_f64().max(1e-9));
+            let src_rack = rack_of(src);
+            peers.clear();
+            peers.extend(by_rack[&src_rack].iter().copied().filter(|&d| d != src));
+            others.clear();
+            others.extend(hosts.iter().copied().filter(|&d| rack_of(d) != src_rack));
             let mut t = 0.0f64;
             let end = duration.as_secs_f64();
             loop {
@@ -142,29 +151,17 @@ impl TrafficPattern {
                 if pos > cyc * self.on_fraction {
                     continue;
                 }
-                // Pick a destination per the locality mix.
-                let src_rack = rack_of(src);
-                let dst = if rng.gen_bool(self.intra_rack_fraction) {
-                    let peers: Vec<DeviceId> = by_rack[&src_rack]
-                        .iter()
-                        .copied()
-                        .filter(|&d| d != src)
-                        .collect();
-                    if peers.is_empty() {
-                        continue;
-                    }
-                    peers[rng.gen_range(0..peers.len())]
+                // Pick a destination per the locality mix; an arrival
+                // whose side of the mix has no host is dropped.
+                let candidates = if rng.gen_bool(self.intra_rack_fraction) {
+                    &peers
                 } else {
-                    let others: Vec<DeviceId> = hosts
-                        .iter()
-                        .copied()
-                        .filter(|&d| rack_of(d) != src_rack)
-                        .collect();
-                    if others.is_empty() {
-                        continue;
-                    }
-                    others[rng.gen_range(0..others.len())]
+                    &others
                 };
+                if candidates.is_empty() {
+                    continue;
+                }
+                let dst = candidates[rng.gen_range(0..candidates.len())];
                 let size = self.draw_size(&mut rng);
                 events.push((
                     SimTime::ZERO + SimDuration::from_secs_f64(t),
@@ -376,6 +373,42 @@ mod tests {
         batched.run_to_completion();
         sequential.run_to_completion();
         assert_eq!(batched.completed(), sequential.completed());
+    }
+
+    /// 30 s of the measured mix at `locality` on `topo`, seed 9.
+    fn gen_on(topo: &Topology, locality: f64) -> TrafficWorkload {
+        TrafficPattern::measured_dc()
+            .with_intra_rack_fraction(locality)
+            .generate(topo, SimDuration::from_secs(30), &SeedFactory::new(9))
+    }
+
+    #[test]
+    fn one_host_racks_drop_every_rack_local_draw() {
+        // With one host per rack no arrival has a rack peer.
+        assert!(gen_on(&Topology::multi_root_tree(4, 1, 2), 1.0).is_empty());
+    }
+
+    #[test]
+    fn one_host_racks_keep_only_the_cross_rack_draws() {
+        // Half the draws ask for a rack peer and are dropped; the rest
+        // cross racks.
+        let lone = Topology::multi_root_tree(4, 1, 2);
+        let half = gen_on(&lone, 0.5);
+        assert!(!half.is_empty());
+        assert_eq!(half.measured_locality(&lone), 0.0);
+        let remote = gen_on(&lone, 0.0);
+        assert!(
+            half.len() < remote.len(),
+            "{} vs {}",
+            half.len(),
+            remote.len()
+        );
+    }
+
+    #[test]
+    fn one_rack_drops_every_cross_rack_draw() {
+        // With a single rack no arrival has a host in another rack.
+        assert!(gen_on(&Topology::multi_root_tree(1, 8, 1), 0.0).is_empty());
     }
 
     #[test]

@@ -12,11 +12,19 @@
 //!    fan-out pool can never leak scheduling order into results.
 //! 3. **One pipeline** — the two-fidelity report and the single-fidelity
 //!    sweeps run the same scenarios and agree bit for bit.
+//!
+//! A fourth test pins the estimator's outputs on multipath fabrics,
+//! where ECMP picks among more candidates than the paper tree's two.
 
 use picloud::experiments::estimate_exp::{
     self, EstimateExperiment, FidelityMode, Scenario, FABRIC_TIERS_MBPS, HARDEST, LOCALITIES,
 };
-use picloud_simcore::SimDuration;
+use picloud_network::flowsim::estimate::{EstimateConfig, FlowEstimator};
+use picloud_network::flowsim::RateAllocator;
+use picloud_network::routing::RoutingPolicy;
+use picloud_network::topology::Topology;
+use picloud_simcore::{SeedFactory, SimDuration};
+use picloud_workloads::traffic::TrafficPattern;
 use proptest::prelude::*;
 
 #[test]
@@ -92,6 +100,50 @@ fn single_fidelity_sweep_jsonl_is_byte_deterministic() {
         estimate_exp::sweep_jsonl(FidelityMode::Estimate, 7, &a),
         estimate_exp::sweep_jsonl(FidelityMode::Estimate, 7, &b),
     );
+}
+
+#[test]
+fn estimator_outputs_are_pinned_on_multipath_fabrics() {
+    // The goldens run only the paper tree, where a host pair has at most
+    // two equal-cost paths. `fat_tree(4)` gives inter-pod pairs four and
+    // `leaf_spine(4, 4, 14)` gives cross-leaf pairs four, so these pins
+    // cover the ECMP pick, candidate order and per-path bookkeeping the
+    // goldens cannot. Each pin is `(clusters, rep_flows_solved,
+    // loaded_resources, p50 bits, p99 bits)` of the predicted FCTs for
+    // 10 s of the E7 mix at locality 0.5 and seed 2013.
+    let seed = 2013;
+    let pattern = TrafficPattern::measured_dc()
+        .with_arrival_rate(10.0)
+        .with_intra_rack_fraction(0.5);
+    let ecmp = RoutingPolicy::Ecmp { max_paths: 16 };
+    let single = RoutingPolicy::SingleShortest;
+    let fabrics = [Topology::fat_tree(4), Topology::leaf_spine(4, 4, 14)];
+    let mut got = Vec::new();
+    for topo in &fabrics {
+        let workload = pattern.generate(topo, SimDuration::from_secs(10), &SeedFactory::new(seed));
+        for policy in [ecmp, single] {
+            let out = FlowEstimator::new(topo.clone(), policy, RateAllocator::MaxMin)
+                .with_config(EstimateConfig::seeded(seed))
+                .estimate(workload.events());
+            assert_eq!(out.predictions.len(), workload.len(), "{}", topo.name());
+            let fct = out.fct_dist();
+            got.push((
+                out.cluster_count(),
+                out.rep_flows_solved,
+                out.loaded_resources,
+                fct.quantile(0.5).to_bits(),
+                fct.quantile(0.99).to_bits(),
+            ));
+        }
+    }
+    // fat_tree(4) under ECMP then single-path, then leaf_spine(4, 4, 14).
+    let pinned = [
+        (42, 1097, 96, 0x3f8a_6c17_555c_28de, 0x3fe0_1e02_98a6_4baf),
+        (39, 1629, 56, 0x3f8a_6c17_555c_2858, 0x3fda_32d2_c1eb_ef82),
+        (56, 2631, 144, 0x3f87_959d_e17c_dd67, 0x3fd1_a057_e818_a8d1),
+        (44, 2681, 120, 0x3f87_e0fd_0579_bc84, 0x3fd1_b000_a49a_cbaa),
+    ];
+    assert_eq!(got, pinned);
 }
 
 proptest! {

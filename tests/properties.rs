@@ -27,12 +27,13 @@ struct CertFlow {
 /// The path resources of flow `id` from `spec.src` to `spec.dst`, rebuilt
 /// by `router`, which must use the simulator's routing policy.
 fn cert_flow(topo: &Topology, router: &mut Router, spec: &FlowSpec, id: FlowId) -> CertFlow {
-    let path = router
+    let chosen = router
         .route(topo, spec.src, spec.dst, id)
         .expect("connected fabric");
+    let path = router.path(chosen);
     let mut cur = spec.src;
     let mut resources = Vec::with_capacity(path.len());
-    for lid in path {
+    for &lid in path {
         let link = topo.link(lid);
         resources.push(lid.index() * 2 + usize::from(cur != link.a));
         cur = link.other_end(cur);
