@@ -10,7 +10,9 @@
 //!   are threaded unconditionally, so this branch runs on every RPC,
 //!   route and recovery step even when observability is off;
 //! * recording: an enabled emit or span into a ring, a gauge created
-//!   and set in the labeled registry;
+//!   and set in the labeled registry, and a set of a series that already
+//!   exists in the live E17 registry, by name and by handle. A set and a
+//!   counter add by handle must make no allocation call (asserted);
 //! * reading a live run back: snapshot and trace export, span-forest
 //!   reconstruction, critical paths and the forest's JSONL;
 //! * the time-series pipeline: scraping a full registry into the
@@ -25,6 +27,7 @@
 //! registry of 600 series (a thousand streams) scraped once a second.
 
 use picloud::experiments::recovery_exp::RecoveryExperiment;
+use picloud_bench::allocs;
 use picloud_bench::report::{per_call_ns, Report};
 use picloud_network::flowsim::partition::default_workers;
 use picloud_simcore::telemetry::slo::AlertPolicy;
@@ -39,6 +42,9 @@ const TELEMETRY: &str = "simcore.telemetry";
 const SPANS: &str = "simcore.spans";
 const TSDB: &str = "simcore.tsdb";
 const SLO: &str = "simcore.slo";
+
+#[global_allocator]
+static ALLOCATOR: allocs::Counting = allocs::Counting;
 
 /// One short E17 churn run with live telemetry: metrics, spans and
 /// tsdb scrapes.
@@ -158,6 +164,30 @@ fn main() {
     let policy = AlertPolicy::picloud_default();
     let alerts = per_call_ns(5, 20, || policy.evaluate(e17));
 
+    // Writes to series the live run already holds: a link gauge by name
+    // (key search) and by handle (index), and the handle writes'
+    // allocation calls.
+    let mut reg = sink.registry.clone();
+    let end = SimTime::from_secs(600);
+    let link = [("link", "17")];
+    assert!(reg.get_gauge("network_link_utilisation", &link).is_some());
+    let gauge_set_by_name = per_call_ns(9, 100_000, || {
+        reg.gauge("network_link_utilisation", &link).set(end, 0.5);
+    });
+    let gauge = reg.gauge_id("network_link_utilisation", &link);
+    let gauge_set_by_handle = per_call_ns(9, 100_000, || {
+        reg.gauge_at(gauge).set(end, 0.5);
+    });
+    assert!(reg.get_counter("recovery_detections_total", &[]).is_some());
+    let counter = reg.counter_id("recovery_detections_total", &[]);
+    let handle_write_allocs = allocs::per_unit(|| {
+        for _ in 0..1000 {
+            reg.gauge_at(gauge).set(end, 0.25);
+            reg.counter_at(counter).add(1);
+        }
+        1000
+    });
+
     // The time-series pipeline on the synthetic registry: scrape cost
     // per scrape of the ~1000-stream registry, then windowed queries
     // over a 240-scrape history.
@@ -184,6 +214,24 @@ fn main() {
         .row(TELEMETRY, "emit_disabled_ns", "ns", emit_disabled)
         .row(TELEMETRY, "emit_ring_ns", "ns", emit_ring)
         .row(TELEMETRY, "gauge_create_set_ns", "ns", gauge_create_set)
+        .row(
+            TELEMETRY,
+            "gauge_set_by_name_ns.e17",
+            "ns",
+            gauge_set_by_name,
+        )
+        .row(
+            TELEMETRY,
+            "gauge_set_by_handle_ns.e17",
+            "ns",
+            gauge_set_by_handle,
+        )
+        .row(
+            TELEMETRY,
+            "allocs.handle_write",
+            "count",
+            handle_write_allocs,
+        )
         .row(TELEMETRY, "snapshot_jsonl_ns.e17", "ns", snapshot_jsonl)
         .row(
             TELEMETRY,
@@ -222,6 +270,11 @@ fn main() {
         .row(SLO, "alerts_ns.e17", "ns", alerts)
         .write();
 
+    assert!(
+        handle_write_allocs == 0.0,
+        "a gauge set plus a counter add by handle made {handle_write_allocs} \
+         allocation calls; handle writes must not allocate"
+    );
     // The zero-alloc contract: the disabled span path (start + end, two
     // guarded no-ops) stays within ~2x one disabled emit. The +50 ns
     // floor keeps few-nanosecond figures from tripping on timer noise.

@@ -44,11 +44,11 @@ use picloud_hardware::node::NodeId;
 use picloud_mgmt::api::{ApiRequest, ApiResponse};
 use picloud_network::failure::{ConnectivityReport, FailureMask};
 use picloud_network::graph::shortest_path_avoiding;
-use picloud_network::topology::LinkId;
+use picloud_network::topology::{DeviceId, LinkId, Topology};
 use picloud_placement::{
     ClusterView, PlacementPolicy, PlacementRequest, PlacementTicket, PolicyKind,
 };
-use picloud_simcore::telemetry::TelemetrySink;
+use picloud_simcore::telemetry::{GaugeId, HistogramId, MetricsRegistry, TelemetrySink};
 use picloud_simcore::units::Bytes;
 use picloud_simcore::{Engine, EventContext, SimDuration, SimTime, SpanContext, SpanId};
 use picloud_workloads::blackout::OutageLedger;
@@ -228,16 +228,132 @@ impl MaskView {
             .first()
             .copied();
         let heartbeat_paths = root.filter(|_| with_paths).map(|root| {
-            cloud
-                .node_ids()
-                .map(|node| shortest_path_avoiding(topo, cloud.device_of(node), root, &dead))
-                .collect()
+            let hosts = cloud.node_ids().map(|node| cloud.device_of(node));
+            heartbeat_paths(topo, hosts, root, &dead)
         });
         let reachability = ConnectivityReport::measure(&mask.apply(topo).topology).reachability();
         MaskView {
             dead,
             heartbeat_paths,
             reachability,
+        }
+    }
+}
+
+/// Each of `sources`' shortest path to `root` avoiding `dead`, exactly as
+/// [`shortest_path_avoiding`] finds it, with one BFS per uplink neighbour
+/// rather than one per source.
+///
+/// A device other than `root` with exactly one live link reaches the rest
+/// of the fabric only through that link's far end, and a BFS from it
+/// visits every other device in the order a BFS from the far end does:
+/// the only difference is the device itself. So its path is that link
+/// followed by the far end's path, computed once per far end (the four
+/// ToRs of the paper fabric). Every other device gets its own BFS.
+fn heartbeat_paths(
+    topo: &Topology,
+    sources: impl Iterator<Item = DeviceId>,
+    root: DeviceId,
+    dead: &BTreeSet<LinkId>,
+) -> Vec<Option<Vec<LinkId>>> {
+    let mut via: BTreeMap<DeviceId, Option<Vec<LinkId>>> = BTreeMap::new();
+    sources
+        .map(|src| {
+            let mut live = topo
+                .neighbours(src)
+                .iter()
+                .filter(|(_, l)| !dead.contains(l));
+            match (live.next(), live.next()) {
+                (Some(&(next, link)), None) if src != root => via
+                    .entry(next)
+                    .or_insert_with(|| shortest_path_avoiding(topo, next, root, dead))
+                    .as_ref()
+                    .map(|tail| std::iter::once(link).chain(tail.iter().copied()).collect()),
+                _ => shortest_path_avoiding(topo, src, root, dead),
+            }
+        })
+        .collect()
+}
+
+/// The live series the E17 loop writes per event, each resolved once to
+/// a registry handle so a write is an index, not a key search. Present
+/// only when telemetry is on.
+///
+/// Creating a series decides which tsdb scrapes include it, so each
+/// handle is resolved where its series is first written: the node and
+/// fleet gauges at the t = 0 baseline, the link gauges at the first link
+/// recording, each histogram at its first observation.
+struct LiveSeries {
+    /// `hardware_power_watts` and `hardware_soc_temp_celsius` per node,
+    /// in node order.
+    power: Vec<(GaugeId, GaugeId)>,
+    /// `container_fleet_running`, `container_fleet_size` and
+    /// `container_fleet_dark`.
+    fleet: [GaugeId; 3],
+    links: Option<LinkSeries>,
+    /// `recovery_detect_seconds`.
+    detect: Option<HistogramId>,
+    /// `recovery_restore_seconds`.
+    restore: Option<HistogramId>,
+}
+
+impl LiveSeries {
+    /// Resolves the series the t = 0 baseline writes first.
+    fn resolve(reg: &mut MetricsRegistry, cloud: &PiCloud, domains: &DomainTree) -> Self {
+        let power = cloud
+            .node_ids()
+            .map(|node| {
+                let n = node.0.to_string();
+                let r = domains.rack_of(node).unwrap_or(0).to_string();
+                let labels = [("node", n.as_str()), ("rack", r.as_str())];
+                (
+                    reg.gauge_id("hardware_power_watts", &labels),
+                    reg.gauge_id("hardware_soc_temp_celsius", &labels),
+                )
+            })
+            .collect();
+        let fleet = [
+            "container_fleet_running",
+            "container_fleet_size",
+            "container_fleet_dark",
+        ]
+        .map(|name| reg.gauge_id(name, &[]));
+        LiveSeries {
+            power,
+            fleet,
+            links: None,
+            detect: None,
+            restore: None,
+        }
+    }
+}
+
+/// The link series [`RecoveryWorld::record_link_utilisation`] writes.
+struct LinkSeries {
+    /// `network_link_utilisation` and `network_link_up` per link, in
+    /// link-id order.
+    gauges: Vec<(GaugeId, GaugeId)>,
+    /// `network_reachability`.
+    reachability: GaugeId,
+}
+
+impl LinkSeries {
+    fn resolve(reg: &mut MetricsRegistry, topo: &Topology) -> Self {
+        let gauges = topo
+            .links()
+            .iter()
+            .map(|l| {
+                let id = l.id.0.to_string();
+                let labels = [("link", id.as_str())];
+                (
+                    reg.gauge_id("network_link_utilisation", &labels),
+                    reg.gauge_id("network_link_up", &labels),
+                )
+            })
+            .collect();
+        LinkSeries {
+            gauges,
+            reachability: reg.gauge_id("network_reachability", &[]),
         }
     }
 }
@@ -313,6 +429,9 @@ pub(crate) struct RecoveryWorld {
     recovery_spans: BTreeMap<String, (SpanId, SpanId)>,
     /// Observability: labeled series + trace, no-op when disabled.
     telem: TelemetrySink,
+    /// Handles of the series written per event; `None` when telemetry is
+    /// off, which is what the recording hooks check.
+    live: Option<LiveSeries>,
 }
 
 impl RecoveryWorld {
@@ -370,30 +489,20 @@ impl RecoveryWorld {
     /// `running containers / containers_per_node` (the recovery fleet is
     /// one lighttpd per slot, so slot occupancy is the load).
     fn record_node_power(&mut self, node: NodeId, now: SimTime) {
-        if !self.telem.is_enabled() {
+        let Some(live) = &self.live else {
             return;
-        }
-        let rack = self.rack_of(node);
+        };
+        let (watts, temp) = live.power[node.index()];
         if self.node_down(node) {
-            let (n, r) = (node.0.to_string(), rack.to_string());
-            self.telem
-                .registry
-                .gauge(
-                    "hardware_power_watts",
-                    &[("node", n.as_str()), ("rack", r.as_str())],
-                )
-                .set(now, 0.0);
+            self.telem.registry.gauge_at(watts).set(now, 0.0);
             return;
         }
         let hosted = self.deployments.get(&node).map_or(0, Vec::len);
         let util = hosted as f64 / self.config.containers_per_node.max(1) as f64;
-        self.cloud.node_spec().power.clone().record_telemetry(
-            &mut self.telem.registry,
-            node.0,
-            rack,
-            util,
-            now,
-        );
+        let power = &self.cloud.node_spec().power;
+        let reg = &mut self.telem.registry;
+        reg.gauge_at(watts).set(now, power.draw_at(util).as_watts());
+        reg.gauge_at(temp).set(now, power.soc_temperature_at(util));
     }
 
     /// Re-derives the mask view if the mask changed since it was built.
@@ -416,47 +525,42 @@ impl RecoveryWorld {
     /// reachability come from the mask view, so they are only recomputed
     /// when a link fails or is repaired.
     fn record_link_utilisation(&mut self, now: SimTime) {
-        if !self.telem.is_enabled() {
+        if self.live.is_none() {
             return;
         }
         /// Request + reply bytes one heartbeat costs a link it crosses.
         const HEARTBEAT_BYTES: f64 = 512.0;
         self.refresh_mask_view();
-        let Some(view) = &self.mask_view else {
+        let (Some(live), Some(view)) = (&mut self.live, &self.mask_view) else {
             return;
         };
         let Some(paths) = &view.heartbeat_paths else {
             return;
         };
-        let mut bytes_per_link: BTreeMap<LinkId, f64> = BTreeMap::new();
+        let topo = self.cloud.topology();
+        let reg = &mut self.telem.registry;
+        let links = live
+            .links
+            .get_or_insert_with(|| LinkSeries::resolve(reg, topo));
+        let mut bytes_per_link = vec![0.0; topo.links().len()];
         for (node, path) in self.cloud.node_ids().zip(paths) {
-            if self.node_down(node) {
+            if self.down_reasons.contains_key(&node) {
                 continue;
             }
             for &link in path.iter().flatten() {
-                *bytes_per_link.entry(link).or_insert(0.0) += HEARTBEAT_BYTES;
+                bytes_per_link[link.index()] += HEARTBEAT_BYTES;
             }
         }
         let interval = self.config.detector.heartbeat_interval.as_secs_f64();
-        let topo = self.cloud.topology();
-        for l in topo.links() {
-            let id = l.id.0.to_string();
-            let labels = [("link", id.as_str())];
-            let bps = bytes_per_link.get(&l.id).copied().unwrap_or(0.0) * 8.0 / interval;
-            let util = bps / l.capacity.as_bps() as f64;
-            self.telem
-                .registry
-                .gauge("network_link_utilisation", &labels)
-                .set(now, util);
-            self.telem
-                .registry
-                .gauge("network_link_up", &labels)
+        let per_link = topo.links().iter().zip(&links.gauges).zip(bytes_per_link);
+        for ((l, &(util, up)), bytes) in per_link {
+            let bps = bytes * 8.0 / interval;
+            reg.gauge_at(util)
+                .set(now, bps / l.capacity.as_bps() as f64);
+            reg.gauge_at(up)
                 .set(now, f64::from(u8::from(!view.dead.contains(&l.id))));
         }
-        self.telem
-            .registry
-            .gauge("network_reachability", &[])
-            .set(now, view.reachability);
+        reg.gauge_at(links.reachability).set(now, view.reachability);
     }
 
     /// Re-records the fleet gauges after containers move or outage
@@ -465,27 +569,23 @@ impl RecoveryWorld {
     /// the ledger's dark container-seconds — the availability SLI the
     /// windowed burn-rate alerts read.
     fn record_fleet(&mut self, now: SimTime) {
-        if !self.telem.is_enabled() {
+        let Some(live) = &self.live else {
             return;
-        }
+        };
         let running: usize = self
             .deployments
             .iter()
             .filter(|(n, _)| !self.down_reasons.contains_key(n))
             .map(|(_, ds)| ds.len())
             .sum();
-        self.telem
-            .registry
-            .gauge("container_fleet_running", &[])
-            .set(now, running as f64);
-        self.telem
-            .registry
-            .gauge("container_fleet_size", &[])
-            .set(now, self.fleet_names.len() as f64);
-        self.telem
-            .registry
-            .gauge("container_fleet_dark", &[])
-            .set(now, self.ledger.dark_count() as f64);
+        let values = [
+            running as f64,
+            self.fleet_names.len() as f64,
+            self.ledger.dark_count() as f64,
+        ];
+        for (id, value) in live.fleet.into_iter().zip(values) {
+            self.telem.registry.gauge_at(id).set(now, value);
+        }
     }
 
     /// Ground truth: every container hosted on `node` goes dark now.
@@ -861,13 +961,12 @@ impl RecoveryWorld {
                 self.detect_delay_count += 1;
                 detect_delay = Some(delay);
             }
-            if self.telem.is_enabled() {
-                if let Some(delay) = detect_delay {
-                    self.telem
-                        .registry
-                        .histogram("recovery_detect_seconds", &[])
-                        .observe(delay.as_secs_f64());
-                }
+            if let (Some(live), Some(delay)) = (&mut self.live, detect_delay) {
+                let reg = &mut self.telem.registry;
+                let id = *live
+                    .detect
+                    .get_or_insert_with(|| reg.histogram_id("recovery_detect_seconds", &[]));
+                reg.histogram_at(id).observe(delay.as_secs_f64());
             }
             self.telem.tracer.emit(now, "node_declared_dead", |e| {
                 e.u64("node", u64::from(dead.0))
@@ -1104,13 +1203,12 @@ impl RecoveryWorld {
                 }
                 let downtime = self.ledger.close(&name, now);
                 self.rescheduled += 1;
-                if self.telem.is_enabled() {
-                    if let Some(d) = downtime {
-                        self.telem
-                            .registry
-                            .histogram("recovery_restore_seconds", &[])
-                            .observe(d.as_secs_f64());
-                    }
+                if let (Some(live), Some(d)) = (&mut self.live, downtime) {
+                    let reg = &mut self.telem.registry;
+                    let id = *live
+                        .restore
+                        .get_or_insert_with(|| reg.histogram_id("recovery_restore_seconds", &[]));
+                    reg.histogram_at(id).observe(d.as_secs_f64());
                 }
                 self.telem.tracer.span_end(now, start_span, |e| {
                     e.u64("node", u64::from(target.0));
@@ -1572,12 +1670,20 @@ fn run_recovery_inner(
         check_invariants: chaos.is_some(),
         violation: None,
         recovery_spans: BTreeMap::new(),
+        live: None,
         telem: sink,
         cloud,
     };
     // Baseline snapshot at t=0: every board's power curve at its steady
     // fleet load and every link's heartbeat utilisation, so the series
     // exist before the first fault perturbs them.
+    if world.telem.is_enabled() {
+        world.live = Some(LiveSeries::resolve(
+            &mut world.telem.registry,
+            &world.cloud,
+            &world.domains,
+        ));
+    }
     for node in world.cloud.node_ids().collect::<Vec<_>>() {
         world.record_node_power(node, SimTime::ZERO);
     }
@@ -1914,5 +2020,66 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(single_crash_cycle(42), single_crash_cycle(42));
+    }
+
+    #[test]
+    fn memoised_heartbeat_paths_match_a_bfs_per_host() {
+        use picloud_network::topology::DeviceKind;
+        use rand::{Rng, SeedableRng};
+        let topo = Topology::multi_root_tree(4, 14, 2);
+        let root = picloud_network::failure::aggregation_devices(&topo)[0];
+        let hosts: Vec<DeviceId> = topo.hosts().map(|d| d.id).collect();
+        let kind = |d: DeviceId| topo.device(d).kind;
+        let host_links: Vec<LinkId> = topo
+            .links()
+            .iter()
+            .filter(|l| kind(l.a).is_host() || kind(l.b).is_host())
+            .map(|l| l.id)
+            .collect();
+        let uplinks: Vec<LinkId> = topo
+            .links()
+            .iter()
+            .filter(|l| {
+                let ends = [kind(l.a), kind(l.b)];
+                ends.iter()
+                    .any(|k| matches!(k, DeviceKind::TopOfRack { .. }))
+                    && ends.contains(&DeviceKind::Aggregation)
+            })
+            .map(|l| l.id)
+            .collect();
+        assert_eq!((host_links.len(), uplinks.len()), (56, 8));
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(17);
+        for _ in 0..200 {
+            let mut dead: BTreeSet<LinkId> = topo
+                .links()
+                .iter()
+                .filter(|_| rng.gen_bool(0.05))
+                .map(|l| l.id)
+                .collect();
+            dead.insert(host_links[rng.gen_range(0..host_links.len())]);
+            dead.insert(uplinks[rng.gen_range(0..uplinks.len())]);
+            let bfs: Vec<Option<Vec<LinkId>>> = hosts
+                .iter()
+                .map(|&h| shortest_path_avoiding(&topo, h, root, &dead))
+                .collect();
+            assert_eq!(
+                heartbeat_paths(&topo, hosts.iter().copied(), root, &dead),
+                bfs,
+                "dead links {dead:?}"
+            );
+        }
+        // The root reaches itself by the empty path, even when it has one
+        // live link left.
+        let dead: BTreeSet<LinkId> = topo
+            .neighbours(root)
+            .iter()
+            .skip(1)
+            .map(|&(_, l)| l)
+            .collect();
+        assert_eq!(dead.len(), 4, "four ToR uplinks and the gateway link");
+        assert_eq!(
+            heartbeat_paths(&topo, std::iter::once(root), root, &dead),
+            [Some(Vec::new())]
+        );
     }
 }

@@ -14,9 +14,7 @@
 //! * [`PowerSocket`] — a feasibility check that a machine population fits a
 //!   domestic socket.
 
-use picloud_simcore::telemetry::MetricsRegistry;
 use picloud_simcore::units::Power;
-use picloud_simcore::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -102,28 +100,6 @@ impl PowerModel {
         }
         let draw = self.draw_at(utilisation).as_watts();
         AMBIENT_C + FULL_LOAD_RISE_C * (draw / self.nameplate_watts)
-    }
-
-    /// Records one node's electrical and thermal telemetry into `reg` at
-    /// `now`: `hardware_power_watts{node,rack}` and
-    /// `hardware_soc_temp_celsius{node,rack}` gauges (so the gauge
-    /// integral prices the run in joules), given the node's current CPU
-    /// `utilisation`.
-    pub fn record_telemetry(
-        &self,
-        reg: &mut MetricsRegistry,
-        node: u32,
-        rack: u16,
-        utilisation: f64,
-        now: SimTime,
-    ) {
-        let node = node.to_string();
-        let rack = rack.to_string();
-        let labels = [("node", node.as_str()), ("rack", rack.as_str())];
-        reg.gauge("hardware_power_watts", &labels)
-            .set(now, self.draw_at(utilisation).as_watts());
-        reg.gauge("hardware_soc_temp_celsius", &labels)
-            .set(now, self.soc_temperature_at(utilisation));
     }
 }
 

@@ -43,7 +43,7 @@
 //! assert_eq!(path.steps.len(), 2);
 //! ```
 
-use crate::telemetry::{FieldValue, TraceEvent, Tracer};
+use crate::telemetry::{json_escape, FieldValue, TraceEvent, Tracer};
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -271,10 +271,10 @@ impl SpanForest {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for rec in self.spans.values() {
+            out.push_str(&format!("{{\"span\":{},\"name\":\"", rec.id.0));
+            json_escape(&rec.name, &mut out);
             out.push_str(&format!(
-                "{{\"span\":{},\"name\":\"{}\",\"parent\":{},\"start_ns\":{}",
-                rec.id.0,
-                rec.name,
+                "\",\"parent\":{},\"start_ns\":{}",
                 rec.parent.0,
                 rec.start.as_nanos()
             ));
@@ -301,14 +301,7 @@ impl SpanForest {
                     FieldValue::Bool(v) => out.push_str(&format!("{v}")),
                     FieldValue::Str(s) => {
                         out.push('"');
-                        for c in s.chars() {
-                            match c {
-                                '"' => out.push_str("\\\""),
-                                '\\' => out.push_str("\\\\"),
-                                '\n' => out.push_str("\\n"),
-                                c => out.push(c),
-                            }
-                        }
+                        json_escape(s, &mut out);
                         out.push('"');
                     }
                 }
@@ -644,14 +637,27 @@ mod tests {
 
     #[test]
     fn jsonl_is_stable_and_escaped() {
-        let (t, _) = recovery_like();
+        let (mut t, _) = recovery_like();
+        t.span_start(secs(20), "a\tnote", SpanId::NONE, |e| {
+            e.str("msg", "q\"b\\n\nr\rt\tu\u{1}");
+        });
         let f = SpanForest::from_tracer(&t);
         let a = f.to_jsonl();
         assert_eq!(a, SpanForest::from_tracer(&t).to_jsonl());
-        assert_eq!(a.lines().count(), 4);
+        assert_eq!(a.lines().count(), 5);
         assert!(a.contains("\"name\":\"recovery\""));
         assert!(a.contains("\"container\":\"web-3-0\""));
         assert!(a.contains("\"duration_ns\":9000000000"));
+        // Names and string fields escape every control character, so each
+        // span stays one line of valid JSON.
+        assert!(a.contains(r#""name":"a\tnote""#), "{a}");
+        assert!(a.contains(r#""msg":"q\"b\\n\nr\rt\tu\u0001""#), "{a}");
+        let line = a.lines().last().unwrap();
+        let v: serde::Content = serde_json::from_str(line).expect("line parses");
+        assert_eq!(
+            v.get("msg"),
+            Some(&serde::Content::Str("q\"b\\n\nr\rt\tu\u{1}".to_owned()))
+        );
     }
 
     #[test]

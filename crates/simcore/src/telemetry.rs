@@ -8,7 +8,9 @@
 //!   [`Counter`] / [`TimeWeightedGauge`] / [`Histogram`] primitives of
 //!   [`crate::metrics`]. A series is `(name, labels)` — e.g.
 //!   `hardware_power_watts{node="3", rack="0"}` — so one registry holds the
-//!   whole cluster's state, per node, rack, container, link or flow.
+//!   whole cluster's state, per node, rack, container, link or flow. A
+//!   series can be resolved once to a [`SeriesId`] handle and then written
+//!   by index, with no key built or searched per write.
 //! * [`Tracer`] — a ring-buffered, deterministic sim-time event tracer.
 //!   When disabled it is zero-cost on the hot path: the closure that would
 //!   build the event's fields is never called and nothing allocates.
@@ -33,8 +35,12 @@
 //! reg.counter("requests_total", &[("node", "7")]).add(3);
 //! reg.gauge("power_watts", &[("node", "7")])
 //!     .set(SimTime::from_secs(1), 3.5);
+//! // A hot loop resolves its series once and writes through the handle.
+//! let power = reg.gauge_id("power_watts", &[("node", "7")]);
+//! reg.gauge_at(power).set(SimTime::from_secs(2), 4.0);
 //! let snap = reg.snapshot(SimTime::from_secs(2));
 //! assert!(snap.to_prometheus().contains("requests_total{node=\"7\"} 3"));
+//! assert!(snap.to_prometheus().contains("power_watts{node=\"7\"} 4"));
 //! ```
 
 pub mod slo;
@@ -43,9 +49,9 @@ pub mod tsdb;
 use crate::metrics::{Counter, Histogram, TimeWeightedGauge};
 use crate::spans::SpanId;
 use crate::time::SimTime;
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
+use std::marker::PhantomData;
 
 /// Returns whether `name` is a valid metric name / label key:
 /// `[a-zA-Z_][a-zA-Z0-9_]*`.
@@ -195,16 +201,133 @@ impl fmt::Display for SeriesKey {
     }
 }
 
+/// A handle to one series of a [`MetricsRegistry`], resolved once by
+/// [`MetricsRegistry::gauge_id`], [`MetricsRegistry::counter_id`] or
+/// [`MetricsRegistry::histogram_id`] and then written by index through
+/// the matching `*_at` method. The instrument type `T` is part of the
+/// handle's type, so a gauge handle cannot index the counter store.
+///
+/// A handle indexes the registry that resolved it (or a clone of that
+/// registry). Handles never appear in any export: every output is in
+/// `(name, labels)` order, whatever order the series were created in.
+pub struct SeriesId<T> {
+    index: usize,
+    kind: PhantomData<fn() -> T>,
+}
+
+/// A handle to a gauge series.
+pub type GaugeId = SeriesId<TimeWeightedGauge>;
+/// A handle to a counter series.
+pub type CounterId = SeriesId<Counter>;
+/// A handle to a histogram series.
+pub type HistogramId = SeriesId<Histogram>;
+
+impl<T> SeriesId<T> {
+    fn new(index: usize) -> Self {
+        SeriesId {
+            index,
+            kind: PhantomData,
+        }
+    }
+}
+
+// Manual impls: deriving would demand the same traits of `T`.
+impl<T> Clone for SeriesId<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for SeriesId<T> {}
+
+impl<T> fmt::Debug for SeriesId<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SeriesId({})", self.index)
+    }
+}
+
+/// One kind's series: keys and instruments indexed by handle (creation
+/// order), plus the handles in key order for lookups and iteration.
+/// Each key is stored once.
+#[derive(Debug, Clone)]
+struct Store<T> {
+    keys: Vec<SeriesKey>,
+    values: Vec<T>,
+    /// Handle indices ascending by key.
+    order: Vec<usize>,
+}
+
+impl<T> Default for Store<T> {
+    fn default() -> Self {
+        Store {
+            keys: Vec::new(),
+            values: Vec::new(),
+            order: Vec::new(),
+        }
+    }
+}
+
+impl<T> Store<T> {
+    /// The position in `order` of `key`, or the position it belongs at.
+    fn search(&self, key: &SeriesKey) -> Result<usize, usize> {
+        self.order.binary_search_by(|&i| self.keys[i].cmp(key))
+    }
+
+    /// The handle of series `(name, labels)`, creating it as `make()` if
+    /// it does not exist yet.
+    fn resolve(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        make: impl FnOnce() -> T,
+    ) -> SeriesId<T> {
+        let key = SeriesKey::new(name, labels);
+        let index = match self.search(&key) {
+            Ok(at) => self.order[at],
+            Err(at) => {
+                let index = self.keys.len();
+                self.keys.push(key);
+                self.values.push(make());
+                self.order.insert(at, index);
+                index
+            }
+        };
+        SeriesId::new(index)
+    }
+
+    fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&T> {
+        let at = self.search(&SeriesKey::new(name, labels)).ok()?;
+        self.values.get(self.order[at])
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Series in `(name, labels)` order.
+    fn iter(&self) -> impl Iterator<Item = (&SeriesKey, &T)> {
+        self.order.iter().map(|&i| (&self.keys[i], &self.values[i]))
+    }
+}
+
 /// A central registry of labeled counter / gauge / histogram series.
 ///
-/// Keys are `(name, labels)`; all maps are `BTreeMap` so iteration — and
-/// therefore every exported snapshot — is deterministic.
+/// A series is created the first time it is named — by a by-name write
+/// ([`MetricsRegistry::gauge`] …) or by resolving its handle
+/// ([`MetricsRegistry::gauge_id`] …), which is the same operation: each
+/// by-name write resolves the handle and then writes through it.
+/// Creation time matters to a scraping [`tsdb::TimeSeriesDb`] (a series
+/// is sampled from the first scrape after it exists), so resolve a
+/// handle at the write that would create the series, never earlier.
+///
+/// Iteration, and therefore every exported snapshot, is in
+/// `(name, labels)` order, independent of creation order.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     start: SimTime,
-    counters: BTreeMap<SeriesKey, Counter>,
-    gauges: BTreeMap<SeriesKey, TimeWeightedGauge>,
-    histograms: BTreeMap<SeriesKey, Histogram>,
+    counters: Store<Counter>,
+    gauges: Store<TimeWeightedGauge>,
+    histograms: Store<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -221,37 +344,80 @@ impl MetricsRegistry {
         self.start
     }
 
+    /// The handle of counter series `(name, labels)`, creating it at zero
+    /// if it does not exist yet.
+    pub fn counter_id(&mut self, name: &str, labels: &[(&str, &str)]) -> CounterId {
+        self.counters.resolve(name, labels, Counter::default)
+    }
+
+    /// The handle of gauge series `(name, labels)`, creating it holding
+    /// `0.0` since the registry's start if it does not exist yet.
+    pub fn gauge_id(&mut self, name: &str, labels: &[(&str, &str)]) -> GaugeId {
+        let start = self.start;
+        self.gauges
+            .resolve(name, labels, || TimeWeightedGauge::new(start, 0.0))
+    }
+
+    /// The handle of histogram series `(name, labels)`, creating it empty
+    /// if it does not exist yet.
+    pub fn histogram_id(&mut self, name: &str, labels: &[(&str, &str)]) -> HistogramId {
+        self.histograms.resolve(name, labels, Histogram::default)
+    }
+
+    /// The counter behind `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` came from a registry with more counters.
+    pub fn counter_at(&mut self, id: CounterId) -> &mut Counter {
+        &mut self.counters.values[id.index]
+    }
+
+    /// The gauge behind `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` came from a registry with more gauges.
+    pub fn gauge_at(&mut self, id: GaugeId) -> &mut TimeWeightedGauge {
+        &mut self.gauges.values[id.index]
+    }
+
+    /// The histogram behind `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` came from a registry with more histograms.
+    pub fn histogram_at(&mut self, id: HistogramId) -> &mut Histogram {
+        &mut self.histograms.values[id.index]
+    }
+
     /// The counter series `(name, labels)`, created at zero on first use.
     pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut Counter {
-        self.counters
-            .entry(SeriesKey::new(name, labels))
-            .or_default()
+        let id = self.counter_id(name, labels);
+        self.counter_at(id)
     }
 
     /// The gauge series `(name, labels)`, created holding `0.0` on first
     /// use.
     pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut TimeWeightedGauge {
-        let start = self.start;
-        self.gauges
-            .entry(SeriesKey::new(name, labels))
-            .or_insert_with(|| TimeWeightedGauge::new(start, 0.0))
+        let id = self.gauge_id(name, labels);
+        self.gauge_at(id)
     }
 
     /// The histogram series `(name, labels)`, created empty on first use.
     pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut Histogram {
-        self.histograms
-            .entry(SeriesKey::new(name, labels))
-            .or_default()
+        let id = self.histogram_id(name, labels);
+        self.histogram_at(id)
     }
 
     /// Read-only lookup of a counter series.
     pub fn get_counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Counter> {
-        self.counters.get(&SeriesKey::new(name, labels))
+        self.counters.get(name, labels)
     }
 
     /// Read-only lookup of a gauge series.
     pub fn get_gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<&TimeWeightedGauge> {
-        self.gauges.get(&SeriesKey::new(name, labels))
+        self.gauges.get(name, labels)
     }
 
     /// Number of series of all three kinds.
@@ -285,13 +451,13 @@ impl MetricsRegistry {
     /// integral), histograms report the [`Histogram::summary`] statistics.
     pub fn snapshot(&self, now: SimTime) -> MetricsSnapshot {
         let mut rows = Vec::with_capacity(self.len());
-        for (key, c) in &self.counters {
+        for (key, c) in self.counters() {
             rows.push(MetricRow {
                 key: key.clone(),
                 value: MetricValue::Counter { total: c.value() },
             });
         }
-        for (key, g) in &self.gauges {
+        for (key, g) in self.gauges() {
             rows.push(MetricRow {
                 key: key.clone(),
                 value: MetricValue::Gauge {
@@ -303,7 +469,7 @@ impl MetricsRegistry {
                 },
             });
         }
-        for (key, h) in &self.histograms {
+        for (key, h) in self.histograms() {
             rows.push(MetricRow {
                 key: key.clone(),
                 value: MetricValue::Histogram {

@@ -29,10 +29,10 @@
 //!
 //! # Determinism
 //!
-//! Everything here is a pure function of the scrape sequence: series are
-//! kept in one `Vec` sorted by key, the order the registry's maps iterate
-//! in, and there is no wall clock and no ambient randomness. Two same-seed
-//! runs produce byte-identical query and alert output.
+//! Everything here is a pure function of the scrape sequence: queries and
+//! listings walk the stored series in key order, the order the registry
+//! iterates in, and there is no wall clock and no ambient randomness. Two
+//! same-seed runs produce byte-identical query and alert output.
 //!
 //! # Example
 //!
@@ -61,7 +61,7 @@
 //! assert_eq!(v, 62.0);
 //! ```
 
-use super::{MetricsRegistry, SeriesKey};
+use super::{MetricsRegistry, SeriesKey, Store};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::fmt;
@@ -151,7 +151,7 @@ impl SampleField {
     }
 }
 
-/// Which registry map a stored series was scraped from. Declared in the
+/// Which registry store a stored series was scraped from. Declared in the
 /// order of each kind's first field (`Total` < `Value` < `Count`), so the
 /// store's `(key, kind)` order is the `(key, field)` order of its streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -403,25 +403,25 @@ pub struct QueryPoint {
     pub value: Option<f64>,
 }
 
-/// One scraped registry series: its key, the registry map it came from,
-/// and that kind's streams in [`SeriesKind::fields`] order.
+/// One scraped registry series: its key and its kind's streams in
+/// [`SeriesKind::fields`] order.
 #[derive(Debug, Clone, PartialEq)]
 struct Series {
     key: SeriesKey,
-    kind: SeriesKind,
     streams: Vec<Stream>,
 }
 
-impl Series {
-    /// Where this series sorts against `(key, kind)`: the store's order.
-    fn cmp_to(&self, key: &SeriesKey, kind: SeriesKind) -> Ordering {
-        self.key.cmp(key).then(self.kind.cmp(&kind))
-    }
-}
+/// A stored series' place: its kind and the registry handle index it
+/// was scraped from.
+type Slot = (SeriesKind, usize);
 
-/// The in-memory time-series store: every scraped series in
-/// `(key, kind)` order, each holding its kind's delta-encoded streams,
-/// plus the shared scrape timeline.
+/// The in-memory time-series store: every scraped series, each holding
+/// its kind's delta-encoded streams, plus the shared scrape timeline.
+///
+/// Series are stored per kind at the index of the registry handle they
+/// were scraped from, so a scrape reaches every series it already stores
+/// by index; only series new at a scrape are placed by key, into the
+/// `(key, kind)` order that queries and listings walk.
 ///
 /// Populate it by calling [`TimeSeriesDb::record`] (or letting a
 /// [`TelemetrySink`](super::TelemetrySink) drive it via its scrape hooks),
@@ -436,8 +436,11 @@ pub struct TimeSeriesDb {
     next_due: SimTime,
     /// Every instant a scrape happened, ascending, deduplicated.
     times: Vec<SimTime>,
-    /// Every series with at least one sample, ascending by `(key, kind)`.
-    series: Vec<Series>,
+    /// Every series with at least one sample, per [`SeriesKind`], indexed
+    /// by registry handle.
+    series: [Vec<Series>; 3],
+    /// Every stored series' slot, ascending by `(key, kind)`.
+    order: Vec<Slot>,
     samples: u64,
 }
 
@@ -453,7 +456,8 @@ impl TimeSeriesDb {
             interval: config.interval,
             next_due: epoch,
             times: Vec::new(),
-            series: Vec::new(),
+            series: [Vec::new(), Vec::new(), Vec::new()],
+            order: Vec::new(),
             samples: 0,
         }
     }
@@ -482,10 +486,15 @@ impl TimeSeriesDb {
     /// (run start / end) composes with a periodic grid scrape that landed
     /// on the same tick — the last observation wins.
     ///
+    /// Every call must pass the same registry (or its continuation): a
+    /// stored series is matched to the registry series with the same
+    /// handle index, which debug builds check by key.
+    ///
     /// # Panics
     ///
     /// Panics if `now` is before the previous scrape: queries
-    /// binary-search each stream's timestamps, so they must ascend.
+    /// binary-search each stream's timestamps, so they must ascend. Also
+    /// panics if `registry` holds fewer series of a kind than the store.
     pub fn record(&mut self, registry: &MetricsRegistry, now: SimTime) {
         assert!(
             self.times.last().is_none_or(|&t| t <= now),
@@ -495,27 +504,22 @@ impl TimeSeriesDb {
         let mut fresh = Vec::new();
         self.scrape(
             SeriesKind::Counter,
+            &registry.counters,
             t_ns,
             &mut fresh,
-            registry.counters().map(|(key, c)| (key, [c.value()])),
+            |c| [c.value()],
         );
-        self.scrape(
-            SeriesKind::Gauge,
-            t_ns,
-            &mut fresh,
-            registry
-                .gauges()
-                .map(|(key, g)| (key, [g.value().to_bits(), g.integral(now).to_bits()])),
-        );
+        self.scrape(SeriesKind::Gauge, &registry.gauges, t_ns, &mut fresh, |g| {
+            [g.value().to_bits(), g.integral(now).to_bits()]
+        });
         self.scrape(
             SeriesKind::Histogram,
+            &registry.histograms,
             t_ns,
             &mut fresh,
-            registry
-                .histograms()
-                .map(|(key, h)| (key, [h.len() as u64, h.sum().to_bits()])),
+            |h| [h.len() as u64, h.sum().to_bits()],
         );
-        self.insert(fresh);
+        self.place(fresh);
         if self.times.last() != Some(&now) {
             self.times.push(now);
         }
@@ -524,32 +528,35 @@ impl TimeSeriesDb {
         }
     }
 
-    /// Records one registry map's payloads (`bits`, one per field of
-    /// `kind`) at `t_ns`. The map iterates in key order, so a forward
-    /// cursor over the stored series finds each match by comparison
-    /// alone. Series not stored yet are pushed to `fresh` with the index
-    /// they belong before.
-    fn scrape<'r, const N: usize>(
+    /// Records one registry store's payloads (`bits`, one per field of
+    /// `kind`) at `t_ns`. A series already stored is reached by its
+    /// handle index; one not stored yet is appended at its index and its
+    /// slot pushed to `fresh`.
+    fn scrape<T, const N: usize>(
         &mut self,
         kind: SeriesKind,
+        store: &Store<T>,
         t_ns: u64,
-        fresh: &mut Vec<(usize, Series)>,
-        entries: impl Iterator<Item = (&'r SeriesKey, [u64; N])>,
+        fresh: &mut Vec<Slot>,
+        bits: impl Fn(&T) -> [u64; N],
     ) {
-        let mut cursor = 0usize;
-        for (key, bits) in entries {
-            let stored = loop {
-                match self.series.get(cursor).map(|s| s.cmp_to(key, kind)) {
-                    Some(Ordering::Less) => cursor += 1,
-                    Some(Ordering::Equal) => break self.series.get_mut(cursor),
-                    Some(Ordering::Greater) | None => break None,
-                }
-            };
-            if let Some(series) = stored {
+        let stored = &mut self.series[kind as usize];
+        assert!(
+            stored.len() <= store.len(),
+            "the registry holds fewer {kind:?} series than the tsdb stored"
+        );
+        for (index, value) in store.values.iter().enumerate() {
+            let bits = bits(value);
+            let key = &store.keys[index];
+            if let Some(series) = stored.get_mut(index) {
+                debug_assert!(
+                    series.key == *key,
+                    "{kind:?} handle {index} is {key} in the registry but {} in the tsdb",
+                    series.key
+                );
                 for (stream, bits) in series.streams.iter_mut().zip(bits) {
                     self.samples += u64::from(stream.record_at(t_ns, bits));
                 }
-                cursor += 1;
             } else {
                 let streams = kind
                     .fields()
@@ -562,34 +569,37 @@ impl TimeSeriesDb {
                     })
                     .collect();
                 self.samples += N as u64;
-                let series = Series {
+                stored.push(Series {
                     key: key.clone(),
-                    kind,
                     streams,
-                };
-                fresh.push((cursor, series));
+                });
+                fresh.push((kind, index));
             }
         }
     }
 
-    /// Places one scrape's newly seen series in a single merge pass: each
-    /// stored series moves once, however many arrive.
-    fn insert(&mut self, mut fresh: Vec<(usize, Series)>) {
+    /// The series in `slot`.
+    fn at(&self, (kind, index): Slot) -> &Series {
+        &self.series[kind as usize][index]
+    }
+
+    /// Where the series in `slot` sorts against `(key, kind)`: the order
+    /// of [`TimeSeriesDb::order`].
+    fn cmp_to(&self, slot: Slot, key: &SeriesKey, kind: SeriesKind) -> Ordering {
+        self.at(slot).key.cmp(key).then(slot.0.cmp(&kind))
+    }
+
+    /// Places one scrape's newly stored series into the key order. The
+    /// stored order is already sorted, so the sort merges one run of
+    /// new slots into it.
+    fn place(&mut self, fresh: Vec<Slot>) {
         if fresh.is_empty() {
             return;
         }
-        // In `(key, kind)` order the insertion indices are non-decreasing.
-        fresh.sort_by(|(_, a), (_, b)| a.cmp_to(&b.key, b.kind));
-        let mut stored = std::mem::take(&mut self.series).into_iter();
-        let mut merged = Vec::with_capacity(stored.len() + fresh.len());
-        let mut placed = 0usize;
-        for (before, series) in fresh {
-            merged.extend(stored.by_ref().take(before - placed));
-            placed = before;
-            merged.push(series);
-        }
-        merged.extend(stored);
-        self.series = merged;
+        let mut order = std::mem::take(&mut self.order);
+        order.extend(fresh);
+        order.sort_by(|&a, &b| self.cmp_to(a, &self.at(b).key, b.0));
+        self.order = order;
     }
 
     /// Every scrape instant, ascending.
@@ -597,19 +607,25 @@ impl TimeSeriesDb {
         &self.times
     }
 
+    /// Every stored series, per kind.
+    fn all(&self) -> impl Iterator<Item = &Series> {
+        self.series.iter().flatten()
+    }
+
     /// Number of distinct `(series, facet)` streams.
     pub fn stream_count(&self) -> usize {
-        self.series.iter().map(|s| s.streams.len()).sum()
+        self.all().map(|s| s.streams.len()).sum()
     }
 
     /// Distinct keys of the stored series, in order. A key scraped as
     /// more than one kind is stored once per kind, next to itself.
     fn keys(&self) -> impl Iterator<Item = &SeriesKey> {
         let mut last: Option<&SeriesKey> = None;
-        self.series.iter().filter_map(move |s| {
-            let fresh_key = last != Some(&s.key);
-            last = Some(&s.key);
-            fresh_key.then_some(&s.key)
+        self.order.iter().filter_map(move |&slot| {
+            let key = &self.at(slot).key;
+            let fresh_key = last != Some(key);
+            last = Some(key);
+            fresh_key.then_some(key)
         })
     }
 
@@ -625,8 +641,7 @@ impl TimeSeriesDb {
 
     /// Total encoded payload bytes across all streams.
     pub fn bytes(&self) -> usize {
-        self.series
-            .iter()
+        self.all()
             .flat_map(|s| &s.streams)
             .map(|stream| stream.data.len())
             .sum()
@@ -645,11 +660,12 @@ impl TimeSeriesDb {
     /// superset of `labels`, in `(name, labels)` order.
     pub fn series_matching(&self, metric: &str, labels: &[(String, String)]) -> Vec<SeriesKey> {
         let from = self
-            .series
-            .partition_point(|s| s.key.name.as_str() < metric);
+            .order
+            .partition_point(|&slot| self.at(slot).key.name.as_str() < metric);
         let mut out: Vec<SeriesKey> = Vec::new();
-        for s in self.series[from..]
+        for s in self.order[from..]
             .iter()
+            .map(|&slot| self.at(slot))
             .take_while(|s| s.key.name == metric)
         {
             if out.last() != Some(&s.key)
@@ -671,10 +687,10 @@ impl TimeSeriesDb {
     fn stream(&self, series: &SeriesKey, field: SampleField) -> Option<&Stream> {
         let (kind, index) = field.slot();
         let at = self
-            .series
-            .binary_search_by(|s| s.cmp_to(series, kind))
+            .order
+            .binary_search_by(|&slot| self.cmp_to(slot, series, kind))
             .ok()?;
-        self.series.get(at)?.streams.get(index)
+        self.at(self.order[at]).streams.get(index)
     }
 
     /// Decodes the stream `f` reads from `series`: the counter `Total`
@@ -946,6 +962,33 @@ mod tests {
         let mut db = TimeSeriesDb::new(SimTime::ZERO, ScrapeConfig::default());
         db.record(&reg, SimTime::from_secs(5));
         db.record(&reg, SimTime::from_secs(4));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "handle 0 is b in the registry but a in the tsdb")]
+    fn a_registry_with_other_handles_panics_instead_of_misfiling() {
+        // Same series, created in the other order: handle 0 names `a` in
+        // the registry the store scraped and `b` in this one.
+        let mut first = MetricsRegistry::new(SimTime::ZERO);
+        first.gauge("a", &[]).set(SimTime::ZERO, 1.0);
+        first.gauge("b", &[]).set(SimTime::ZERO, 2.0);
+        let mut other = MetricsRegistry::new(SimTime::ZERO);
+        other.gauge("b", &[]).set(SimTime::ZERO, 2.0);
+        other.gauge("a", &[]).set(SimTime::ZERO, 1.0);
+        let mut db = TimeSeriesDb::new(SimTime::ZERO, ScrapeConfig::default());
+        db.record(&first, SimTime::ZERO);
+        db.record(&other, SimTime::from_secs(15));
+    }
+
+    #[test]
+    #[should_panic(expected = "the registry holds fewer Gauge series than the tsdb stored")]
+    fn a_registry_with_fewer_series_panics() {
+        let mut reg = MetricsRegistry::new(SimTime::ZERO);
+        reg.gauge("a", &[]).set(SimTime::ZERO, 1.0);
+        let mut db = TimeSeriesDb::new(SimTime::ZERO, ScrapeConfig::default());
+        db.record(&reg, SimTime::ZERO);
+        db.record(&MetricsRegistry::new(SimTime::ZERO), SimTime::from_secs(15));
     }
 
     #[test]

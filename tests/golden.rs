@@ -1,7 +1,8 @@
 //! The pinned outputs in `tests/golden`, reproduced byte for byte by the
 //! `picloud-cli` binary this suite builds: the `all` report, both
-//! fidelities of the S2 sweep, the E17 windowed query and alert
-//! exports, and the traffic query export, each at seeds 2013 and 7.
+//! fidelities of the S2 sweep, the E17 metrics snapshot and its windowed
+//! query and alert exports, and the traffic query export, each at seeds
+//! 2013 and 7.
 //! These are the commands whose output a change must leave alone unless
 //! it regenerates the files on purpose (the verify recipe lists them).
 
@@ -68,6 +69,18 @@ fn estimate_sweeps_match_their_goldens() {
         let command = format!("estimate --fidelity {mode} --out");
         assert_goldens(&format!("estimate-{mode}"), "jsonl", &command);
     }
+}
+
+#[test]
+fn e17_metrics_snapshots_match_their_goldens() {
+    // Every E17 series plus the sink's tsdb totals: a series created
+    // before its first write is scraped early, which moves
+    // `telemetry_tsdb_samples_total` and `telemetry_tsdb_bytes_total`.
+    assert_goldens(
+        "telemetry-e17",
+        "jsonl",
+        "telemetry --experiment e17 --format jsonl --out",
+    );
 }
 
 #[test]

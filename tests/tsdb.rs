@@ -22,7 +22,9 @@ use picloud_faults::{FaultKind, FaultTimeline};
 use picloud_hardware::node::NodeId;
 use picloud_simcore::telemetry::slo::{AlertPolicy, AlertSeverity, SloPolicy, Verdict};
 use picloud_simcore::telemetry::tsdb::{QueryFn, ScrapeConfig, TimeSeriesDb};
-use picloud_simcore::telemetry::{MetricValue, MetricsRegistry, SeriesKey, TelemetrySink};
+use picloud_simcore::telemetry::{
+    CounterId, GaugeId, MetricValue, MetricsRegistry, SeriesKey, TelemetrySink,
+};
 use picloud_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -221,6 +223,11 @@ proptest! {
     /// grid, still reproduce mean/total exactly. Windowed queries at
     /// random (window, instant) pairs agree bit for bit with a
     /// brute-force evaluation of a shadow log of every scrape.
+    ///
+    /// The same ops also go to a second registry through handles, each
+    /// resolved at its series' first op, scraped into a second store:
+    /// both must export the same snapshot bytes and answer every query
+    /// the same.
     #[test]
     fn random_walks_reproduce_snapshot_statistics(
         steps in prop::collection::vec(
@@ -243,6 +250,13 @@ proptest! {
         let mut db = TimeSeriesDb::new(SimTime::ZERO, ScrapeConfig::default());
         let mut log: Vec<LoggedScrape> = Vec::new();
         scrape_both(&reg, &mut db, &mut log, SimTime::ZERO);
+        // The handle twin: same ops, written through handles.
+        let mut hreg = MetricsRegistry::new(SimTime::ZERO);
+        let mut hdb = TimeSeriesDb::new(SimTime::ZERO, ScrapeConfig::default());
+        hdb.record(&hreg, SimTime::ZERO);
+        let mut gauge_ids: BTreeMap<(&str, &str), GaugeId> = BTreeMap::new();
+        let mut counter_ids: BTreeMap<(&str, &str), CounterId> = BTreeMap::new();
+        let mut latency_id = None;
         let mut now = SimTime::ZERO;
         for (dt, op, pick, permille, bump, scrape) in steps {
             now = now.saturating_add(SimDuration::from_nanos(dt));
@@ -250,23 +264,53 @@ proptest! {
             let node = [("node", WALK_NODES[pick / 3])];
             let value = f64::from(permille) / 1000.0;
             match op {
-                0 => reg.gauge(name, &node).set(now, value),
-                1 => reg.counter(name, &node).add(bump),
+                0 => {
+                    reg.gauge(name, &node).set(now, value);
+                    let id = *gauge_ids
+                        .entry((name, node[0].1))
+                        .or_insert_with(|| hreg.gauge_id(name, &node));
+                    hreg.gauge_at(id).set(now, value);
+                }
+                1 => {
+                    reg.counter(name, &node).add(bump);
+                    let id = *counter_ids
+                        .entry((name, node[0].1))
+                        .or_insert_with(|| hreg.counter_id(name, &node));
+                    hreg.counter_at(id).add(bump);
+                }
                 // One key that is always both a gauge and a counter.
                 2 => {
                     reg.gauge("e_dual", &[]).set(now, value);
                     reg.counter("e_dual", &[]).add(bump);
+                    let g = *gauge_ids
+                        .entry(("e_dual", ""))
+                        .or_insert_with(|| hreg.gauge_id("e_dual", &[]));
+                    hreg.gauge_at(g).set(now, value);
+                    let c = *counter_ids
+                        .entry(("e_dual", ""))
+                        .or_insert_with(|| hreg.counter_id("e_dual", &[]));
+                    hreg.counter_at(c).add(bump);
                 }
-                _ => reg.histogram("c_latency_seconds", &[]).observe(value),
+                _ => {
+                    reg.histogram("c_latency_seconds", &[]).observe(value);
+                    let id = *latency_id
+                        .get_or_insert_with(|| hreg.histogram_id("c_latency_seconds", &[]));
+                    hreg.histogram_at(id).observe(value);
+                }
             }
             if scrape {
                 scrape_both(&reg, &mut db, &mut log, now);
+                hdb.record(&hreg, now);
             }
         }
         scrape_both(&reg, &mut db, &mut log, now); // the forced end-of-run scrape
+        hdb.record(&hreg, now);
         let at = *db.scrape_times().last().unwrap();
         let window = at.saturating_duration_since(SimTime::ZERO);
         let snap = reg.snapshot(at);
+        prop_assert_eq!(snap.to_jsonl(), hreg.snapshot(at).to_jsonl());
+        prop_assert_eq!(db.scrape_times(), hdb.scrape_times());
+        prop_assert_eq!((db.samples(), db.bytes()), (hdb.samples(), hdb.bytes()));
         for row in &snap.rows {
             match &row.value {
                 MetricValue::Counter { total } => {
@@ -290,9 +334,11 @@ proptest! {
         keys.sort();
         keys.dedup();
         prop_assert_eq!(db.all_series(), keys.clone());
+        prop_assert_eq!(hdb.all_series(), keys.clone());
         for name in WALK_NAMES {
             let named: Vec<SeriesKey> = keys.iter().filter(|k| k.name == name).cloned().collect();
-            prop_assert_eq!(db.series_matching(name, &[]), named);
+            prop_assert_eq!(db.series_matching(name, &[]), named.clone());
+            prop_assert_eq!(hdb.series_matching(name, &[]), named);
         }
         let times: Vec<u64> = log.iter().map(|l| l.t).collect();
         prop_assert_eq!(
@@ -334,9 +380,13 @@ proptest! {
                 for (f, want) in cases {
                     let got = db.eval_at(key, f, q_window, q_at);
                     prop_assert_eq!(bits(got), bits(want), "{:?} of {} at {} over {}", f, key, at_ns, window_ns);
+                    let by_handle = hdb.eval_at(key, f, q_window, q_at);
+                    prop_assert_eq!(bits(by_handle), bits(got), "handle {:?} of {}", f, key);
                 }
+                let got = db.eval_at(key, QueryFn::AvgOverTime, q_window, q_at);
+                let by_handle = hdb.eval_at(key, QueryFn::AvgOverTime, q_window, q_at);
+                prop_assert_eq!(bits(by_handle), bits(got), "handle avg_over_time of {}", key);
                 if log.iter().any(|l| l.gauges.contains_key(key)) {
-                    let got = db.eval_at(key, QueryFn::AvgOverTime, q_window, q_at);
                     let want = logged_gauge_avg(&log, key, start_ns, at_ns);
                     prop_assert_eq!(bits(got), bits(want), "avg_over_time of {} at {} over {}", key, at_ns, window_ns);
                 }
