@@ -487,12 +487,13 @@ impl RecoveryWorld {
     /// Re-records one node's power/thermal gauges. A crashed board draws
     /// nothing; an alive one draws per its curve at a utilisation proxy of
     /// `running containers / containers_per_node` (the recovery fleet is
-    /// one lighttpd per slot, so slot occupancy is the load).
+    /// one lighttpd per slot, so slot occupancy is the load). A fault
+    /// may name an id outside the cluster, which has no board to record.
     fn record_node_power(&mut self, node: NodeId, now: SimTime) {
-        let Some(live) = &self.live else {
+        let Some(&(watts, temp)) = self.live.as_ref().and_then(|l| l.power.get(node.index()))
+        else {
             return;
         };
-        let (watts, temp) = live.power[node.index()];
         if self.node_down(node) {
             self.telem.registry.gauge_at(watts).set(now, 0.0);
             return;
@@ -936,20 +937,18 @@ impl RecoveryWorld {
     /// victims, and reschedule the next round.
     fn sweep(&mut self, ctx: &mut EventContext<RecoveryWorld>) {
         let now = ctx.now();
-        let nodes: Vec<NodeId> = self.cloud.node_ids().collect();
-        for node in nodes {
-            if self.rpc.call(node, now).is_ok() {
-                let before = self.detector.health(node);
-                self.detector.heartbeat(node, now);
-                if before == NodeHealth::Dead {
-                    // Dead → Recovered: the node rejoins the placement
-                    // pool, empty (its containers moved on).
-                    self.view.uncordon(node);
-                    self.rejoins += 1;
-                    self.telem.tracer.emit(now, "node_rejoined", |e| {
-                        e.u64("node", u64::from(node.0));
-                    });
-                }
+        for index in 0..self.cloud.node_count() as u32 {
+            let node = NodeId(index);
+            if self.rpc.call(node, now).is_ok()
+                && self.detector.heartbeat(node, now) == NodeHealth::Dead
+            {
+                // Dead → Recovered: the node rejoins the placement pool,
+                // empty (its containers moved on).
+                self.view.uncordon(node);
+                self.rejoins += 1;
+                self.telem.tracer.emit(now, "node_rejoined", |e| {
+                    e.u64("node", u64::from(node.0));
+                });
             }
         }
         for dead in self.detector.sweep(now) {
@@ -1581,8 +1580,10 @@ fn run_recovery_inner(
         view = view.with_cpu_overcommit(config.cpu_overcommit);
     }
     let domains = DomainTree::from_topology(cloud.topology());
-    let mut detector = FailureDetector::new(config.detector);
-    let rpc = RpcPlane::new(config.rpc, &cloud.seeds().child("recovery"));
+    // Both per-node tables are sized from the cluster, never from an id
+    // a fault names.
+    let mut detector = FailureDetector::new(config.detector, node_count);
+    let rpc = RpcPlane::new(config.rpc, &cloud.seeds().child("recovery"), node_count);
     let mut deployments: BTreeMap<NodeId, Vec<Deployment>> = BTreeMap::new();
     let mut fleet_names = BTreeSet::new();
 

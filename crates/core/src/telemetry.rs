@@ -30,6 +30,7 @@ use picloud_simcore::telemetry::slo::{AlertPolicy, AlertTimeline, SloPolicy, Slo
 use picloud_simcore::telemetry::tsdb::{QueryFn, ScrapeConfig, TimeSeriesDb};
 use picloud_simcore::telemetry::{json_escape, MetricsSnapshot, TelemetrySink};
 use picloud_simcore::{SimDuration, SimTime, SpanForest};
+use std::cell::OnceCell;
 
 /// The telemetry one experiment run produced: a labeled metrics registry
 /// plus a sim-time trace, ready for export in any supported format.
@@ -43,6 +44,20 @@ pub struct ExperimentTelemetry {
     pub taken_at: SimTime,
     /// The recorded series and trace.
     pub sink: TelemetrySink,
+    /// The span forest, built on first use and shared by every span
+    /// export.
+    forest: OnceCell<ForestCache>,
+}
+
+/// A span forest and the tracer length it was built at, followed by the
+/// forest built after the trace moved on. Each forest stays put once
+/// built, so the references [`ExperimentTelemetry::span_forest`] hands
+/// out remain valid while a later call builds a newer one.
+#[derive(Debug)]
+struct ForestCache {
+    emitted: u64,
+    forest: SpanForest,
+    newer: OnceCell<Box<ForestCache>>,
 }
 
 impl ExperimentTelemetry {
@@ -74,6 +89,7 @@ impl ExperimentTelemetry {
             seed,
             taken_at,
             sink,
+            forest: OnceCell::new(),
         })
     }
 
@@ -104,9 +120,26 @@ impl ExperimentTelemetry {
         self.sink.tracer.to_jsonl()
     }
 
-    /// The causal span forest reconstructed from the run's trace.
-    pub fn span_forest(&self) -> SpanForest {
-        SpanForest::from_tracer(&self.sink.tracer)
+    /// The causal span forest reconstructed from the run's trace, built
+    /// once and shared by the span exports. `sink` is public, so a
+    /// caller may record more events after an export: the forest is
+    /// rebuilt when the tracer's emitted count has moved since the last
+    /// build (the older forest is kept until `self` is dropped).
+    pub fn span_forest(&self) -> &SpanForest {
+        let emitted = self.sink.tracer.emitted();
+        let build = || ForestCache {
+            emitted,
+            forest: SpanForest::from_tracer(&self.sink.tracer),
+            newer: OnceCell::new(),
+        };
+        let mut cache = self.forest.get_or_init(build);
+        while let Some(newer) = cache.newer.get() {
+            cache = newer;
+        }
+        if cache.emitted != emitted {
+            cache = cache.newer.get_or_init(|| Box::new(build()));
+        }
+        &cache.forest
     }
 
     /// Spans as JSON Lines (one object per span, id order).
@@ -356,6 +389,23 @@ mod tests {
     }
 
     #[test]
+    fn the_span_forest_is_built_once_and_follows_later_events() {
+        let mut t = ExperimentTelemetry::collect("e8", 1).unwrap();
+        let spans = t.spans_jsonl();
+        assert!(
+            std::ptr::eq(t.span_forest(), t.span_forest()),
+            "the exports share one forest"
+        );
+        // `sink` is public: events recorded after an export must show.
+        let tracer = &mut t.sink.tracer;
+        let late = tracer.span_start(t.taken_at, "late", picloud_simcore::SpanId::NONE, |_| {});
+        tracer.span_end(t.taken_at, late, |_| {});
+        assert_eq!(t.span_forest(), &SpanForest::from_tracer(&t.sink.tracer));
+        assert_eq!(t.spans_jsonl().lines().count(), spans.lines().count() + 1);
+        assert!(t.critical_path_report().contains("late"));
+    }
+
+    #[test]
     fn fig4_panel_spans_feed_the_staleness_slo() {
         let t = ExperimentTelemetry::collect("fig4", 1).unwrap();
         let forest = t.span_forest();
@@ -392,6 +442,7 @@ mod tests {
             seed: 0,
             taken_at: SimTime::from_secs(2),
             sink,
+            forest: OnceCell::new(),
         };
         let jsonl = t
             .query_jsonl(

@@ -16,12 +16,15 @@
 //! Nodes move through `Up → Suspected → Dead → Recovered`; a heartbeat
 //! clears suspicion, resurrects the dead into `Recovered`, and one more
 //! beat settles `Recovered` back to `Up`.
+//!
+//! The detector watches a fixed set of node ids, `0..nodes`, sized when
+//! it is built: its records are one table indexed by [`NodeId::index`],
+//! so the 1 s poll of every node walks an array rather than a map.
 
 use picloud_hardware::node::NodeId;
 use picloud_simcore::telemetry::MetricsRegistry;
 use picloud_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// log10(e), the phi-accrual scale factor for exponential inter-arrivals.
@@ -88,25 +91,60 @@ struct NodeRecord {
     declared_dead_at: Option<SimTime>,
 }
 
+impl NodeRecord {
+    /// The phi-accrual suspicion score at `now`.
+    fn phi(&self, config: &DetectorConfig, now: SimTime) -> f64 {
+        let elapsed = now
+            .saturating_duration_since(self.last_heartbeat)
+            .as_secs_f64();
+        let mean = self
+            .mean_interval
+            .max(config.heartbeat_interval.as_secs_f64() * 1e-3);
+        LOG10_E * elapsed / mean
+    }
+
+    /// Applies the lifecycle transitions due at `now` and returns the
+    /// verdict.
+    fn poll(&mut self, config: &DetectorConfig, now: SimTime) -> NodeHealth {
+        let silent = now.saturating_duration_since(self.last_heartbeat);
+        let missed = (silent.as_nanos() / config.heartbeat_interval.as_nanos().max(1)) as u32;
+        // Two sequential checks, so a node silent far past the death
+        // threshold walks Up → Suspected → Dead within one evaluation.
+        if matches!(self.health, NodeHealth::Up | NodeHealth::Recovered)
+            && (missed >= config.suspect_missed || self.phi(config, now) >= config.phi_threshold)
+        {
+            self.health = NodeHealth::Suspected;
+        }
+        if self.health == NodeHealth::Suspected && missed >= config.dead_missed {
+            self.health = NodeHealth::Dead;
+            self.declared_dead_at = Some(now);
+        }
+        self.health
+    }
+}
+
 /// The heartbeat failure detector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailureDetector {
     config: DetectorConfig,
-    nodes: BTreeMap<NodeId, NodeRecord>,
+    /// One slot per watched id, indexed by [`NodeId::index`]; `None`
+    /// until the node registers.
+    nodes: Vec<Option<NodeRecord>>,
     /// `Suspected → Up` transitions: suspicions that proved false.
     false_suspicions: u64,
 }
 
 impl FailureDetector {
-    /// Creates a detector with `config` and no nodes.
-    pub fn new(config: DetectorConfig) -> Self {
+    /// Creates a detector with `config` that can watch node ids
+    /// `0..nodes`, none of them registered yet.
+    pub fn new(config: DetectorConfig, nodes: usize) -> Self {
         assert!(
             config.suspect_missed > 0 && config.dead_missed > config.suspect_missed,
             "death must require more missed beats than suspicion"
         );
         FailureDetector {
             config,
-            nodes: BTreeMap::new(),
+            nodes: vec![None; nodes],
             false_suspicions: 0,
         }
     }
@@ -117,25 +155,43 @@ impl FailureDetector {
     }
 
     /// Registers a node as `Up` with a synthetic heartbeat at `now`.
+    ///
+    /// # Panics
+    ///
+    /// If `node` is outside the ids the detector was built for.
     pub fn register(&mut self, node: NodeId, now: SimTime) {
-        self.nodes.insert(
-            node,
-            NodeRecord {
-                last_heartbeat: now,
-                mean_interval: self.config.heartbeat_interval.as_secs_f64(),
-                health: NodeHealth::Up,
-                declared_dead_at: None,
-            },
+        assert!(
+            node.index() < self.nodes.len(),
+            "{node} is outside the detector's {} nodes",
+            self.nodes.len()
         );
+        self.nodes[node.index()] = Some(NodeRecord {
+            last_heartbeat: now,
+            mean_interval: self.config.heartbeat_interval.as_secs_f64(),
+            health: NodeHealth::Up,
+            declared_dead_at: None,
+        });
     }
 
-    /// Records a heartbeat from `node` at `now`.
+    /// `node`'s record, if it is registered.
+    fn record(&self, node: NodeId) -> Option<&NodeRecord> {
+        self.nodes.get(node.index()).and_then(Option::as_ref)
+    }
+
+    /// Every registered node's record, in id order.
+    fn records(&self) -> impl Iterator<Item = &NodeRecord> {
+        self.nodes.iter().flatten()
+    }
+
+    /// Records a heartbeat from `node` at `now` and returns the verdict
+    /// it replaced (`Dead` for an unregistered node, whose heartbeat is
+    /// ignored).
     ///
     /// Clears suspicion; resurrects a `Dead` node into `Recovered`, and a
     /// further beat settles `Recovered` back into `Up`.
-    pub fn heartbeat(&mut self, node: NodeId, now: SimTime) {
-        let Some(rec) = self.nodes.get_mut(&node) else {
-            return;
+    pub fn heartbeat(&mut self, node: NodeId, now: SimTime) -> NodeHealth {
+        let Some(rec) = self.nodes.get_mut(node.index()).and_then(Option::as_mut) else {
+            return NodeHealth::Dead;
         };
         let gap = now
             .saturating_duration_since(rec.last_heartbeat)
@@ -144,7 +200,8 @@ impl FailureDetector {
             rec.mean_interval = 0.8 * rec.mean_interval + 0.2 * gap;
         }
         rec.last_heartbeat = now;
-        rec.health = match rec.health {
+        let before = rec.health;
+        rec.health = match before {
             NodeHealth::Up => NodeHealth::Up,
             NodeHealth::Suspected => {
                 self.false_suspicions += 1;
@@ -153,56 +210,37 @@ impl FailureDetector {
             NodeHealth::Dead => NodeHealth::Recovered,
             NodeHealth::Recovered => NodeHealth::Up,
         };
+        before
     }
 
     /// The phi-accrual suspicion score for `node` at `now`; `0.0` for an
     /// unknown node, rising without bound the longer the silence.
     pub fn phi(&self, node: NodeId, now: SimTime) -> f64 {
-        let Some(rec) = self.nodes.get(&node) else {
-            return 0.0;
-        };
-        let elapsed = now
-            .saturating_duration_since(rec.last_heartbeat)
-            .as_secs_f64();
-        let mean = rec
-            .mean_interval
-            .max(self.config.heartbeat_interval.as_secs_f64() * 1e-3);
-        LOG10_E * elapsed / mean
+        self.record(node)
+            .map_or(0.0, |rec| rec.phi(&self.config, now))
     }
 
     /// Re-evaluates `node` at `now`, applying lifecycle transitions, and
     /// returns its health. Unknown nodes report `Dead`.
     pub fn poll(&mut self, node: NodeId, now: SimTime) -> NodeHealth {
-        let phi = self.phi(node, now);
-        let Some(rec) = self.nodes.get_mut(&node) else {
-            return NodeHealth::Dead;
-        };
-        let silent = now.saturating_duration_since(rec.last_heartbeat);
-        let missed = (silent.as_nanos() / self.config.heartbeat_interval.as_nanos().max(1)) as u32;
-        // Two sequential checks, so a node silent far past the death
-        // threshold walks Up → Suspected → Dead within one evaluation.
-        if matches!(rec.health, NodeHealth::Up | NodeHealth::Recovered)
-            && (missed >= self.config.suspect_missed || phi >= self.config.phi_threshold)
-        {
-            rec.health = NodeHealth::Suspected;
+        match self.nodes.get_mut(node.index()).and_then(Option::as_mut) {
+            Some(rec) => rec.poll(&self.config, now),
+            None => NodeHealth::Dead,
         }
-        if rec.health == NodeHealth::Suspected && missed >= self.config.dead_missed {
-            rec.health = NodeHealth::Dead;
-            rec.declared_dead_at = Some(now);
-        }
-        rec.health
     }
 
-    /// Polls every node and returns those that transitioned to `Dead`
-    /// during this sweep — the recovery controller's work queue.
+    /// Polls every node in id order and returns those that transitioned
+    /// to `Dead` during this sweep — the recovery controller's work
+    /// queue. Allocates only when a node dies.
     pub fn sweep(&mut self, now: SimTime) -> Vec<NodeId> {
-        let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
         let mut newly_dead = Vec::new();
-        for node in ids {
-            let before = self.health(node);
-            let after = self.poll(node, now);
-            if after == NodeHealth::Dead && before != NodeHealth::Dead {
-                newly_dead.push(node);
+        for (index, slot) in self.nodes.iter_mut().enumerate() {
+            let Some(rec) = slot else {
+                continue;
+            };
+            let before = rec.health;
+            if rec.poll(&self.config, now) == NodeHealth::Dead && before != NodeHealth::Dead {
+                newly_dead.push(NodeId(index as u32));
             }
         }
         newly_dead
@@ -210,20 +248,21 @@ impl FailureDetector {
 
     /// A node's current verdict without re-evaluating timers.
     pub fn health(&self, node: NodeId) -> NodeHealth {
-        self.nodes.get(&node).map_or(NodeHealth::Dead, |r| r.health)
+        self.record(node).map_or(NodeHealth::Dead, |r| r.health)
     }
 
     /// When the node was last declared dead, if ever.
     pub fn declared_dead_at(&self, node: NodeId) -> Option<SimTime> {
-        self.nodes.get(&node).and_then(|r| r.declared_dead_at)
+        self.record(node).and_then(|r| r.declared_dead_at)
     }
 
     /// All nodes currently verdicted `Dead`, in id order.
     pub fn dead_nodes(&self) -> Vec<NodeId> {
         self.nodes
             .iter()
-            .filter(|(_, r)| r.health == NodeHealth::Dead)
-            .map(|(n, _)| *n)
+            .enumerate()
+            .filter(|(_, r)| r.is_some_and(|r| r.health == NodeHealth::Dead))
+            .map(|(index, _)| NodeId(index as u32))
             .collect()
     }
 
@@ -242,7 +281,7 @@ impl FailureDetector {
             NodeHealth::Dead,
             NodeHealth::Recovered,
         ] {
-            let count = self.nodes.values().filter(|r| r.health == state).count();
+            let count = self.records().filter(|r| r.health == state).count();
             reg.gauge(
                 "faults_detector_health_count",
                 &[("state", state.to_string().as_str())],
@@ -255,22 +294,22 @@ impl FailureDetector {
 
     /// Number of registered nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.records().count()
     }
 
     /// Whether any nodes are registered.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.records().next().is_none()
     }
 }
 
 impl fmt::Display for FailureDetector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let count = |h: NodeHealth| self.nodes.values().filter(|r| r.health == h).count();
+        let count = |h: NodeHealth| self.records().filter(|r| r.health == h).count();
         write!(
             f,
             "detector: {} nodes ({} up, {} suspected, {} dead, {} recovered)",
-            self.nodes.len(),
+            self.len(),
             count(NodeHealth::Up),
             count(NodeHealth::Suspected),
             count(NodeHealth::Dead),
@@ -284,7 +323,7 @@ mod tests {
     use super::*;
 
     fn detector() -> FailureDetector {
-        let mut d = FailureDetector::new(DetectorConfig::lan_default());
+        let mut d = FailureDetector::new(DetectorConfig::lan_default(), 2);
         d.register(NodeId(0), SimTime::ZERO);
         d
     }
@@ -340,11 +379,14 @@ mod tests {
         assert!(early < late, "{early} < {late}");
         // With the observed mean near 1 s, phi crosses 8 near 18.4 s of
         // silence even if the k-missed rule were lax.
-        let mut lax = FailureDetector::new(DetectorConfig {
-            suspect_missed: 1000,
-            dead_missed: 2000,
-            ..DetectorConfig::lan_default()
-        });
+        let mut lax = FailureDetector::new(
+            DetectorConfig {
+                suspect_missed: 1000,
+                dead_missed: 2000,
+                ..DetectorConfig::lan_default()
+            },
+            1,
+        );
         lax.register(NodeId(0), SimTime::ZERO);
         lax.heartbeat(NodeId(0), secs(1));
         assert_eq!(lax.poll(NodeId(0), secs(10)), NodeHealth::Up);
@@ -353,7 +395,7 @@ mod tests {
 
     #[test]
     fn sweep_reports_each_death_once() {
-        let mut d = FailureDetector::new(DetectorConfig::lan_default());
+        let mut d = FailureDetector::new(DetectorConfig::lan_default(), 2);
         d.register(NodeId(0), SimTime::ZERO);
         d.register(NodeId(1), SimTime::ZERO);
         d.heartbeat(NodeId(1), secs(8)); // node 1 alive, node 0 silent
@@ -373,11 +415,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "more missed beats")]
     fn degenerate_config_rejected() {
-        let _ = FailureDetector::new(DetectorConfig {
-            suspect_missed: 5,
-            dead_missed: 5,
-            ..DetectorConfig::lan_default()
-        });
+        let _ = FailureDetector::new(
+            DetectorConfig {
+                suspect_missed: 5,
+                dead_missed: 5,
+                ..DetectorConfig::lan_default()
+            },
+            1,
+        );
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! exponential backoff with deterministic jitter (drawn from a labelled
 //! [`SeedFactory`] stream, so runs are bit-reproducible) until the attempt
 //! budget is exhausted.
+//!
+//! The plane serves a fixed set of destinations, node ids `0..nodes`,
+//! sized when it is built: each destination's fault state is one record
+//! in a table indexed by [`NodeId::index`], which a call reads once. A
+//! fault aimed at an id outside that range (a schedule read from JSON
+//! may name any id) is ignored, and a call to such an id is answered as
+//! a healthy node answers.
 
 use picloud_hardware::node::NodeId;
 use picloud_simcore::telemetry::{MetricsRegistry, Tracer};
@@ -14,7 +21,6 @@ use picloud_simcore::{SeedFactory, SimDuration, SimTime, SpanContext, SpanId};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Why a management call failed.
@@ -119,41 +125,58 @@ impl RpcStats {
     }
 }
 
+/// One destination's fault state and retry-budget tally. The default is
+/// a healthy daemon.
+#[derive(Debug, Clone, Copy, Default)]
+struct Destination {
+    /// The daemon's management API is silent until this instant; a
+    /// daemon that never hung holds [`SimTime::ZERO`].
+    hung_until: SimTime,
+    /// Calls that exhausted their retry budget.
+    exhausted: u64,
+    /// Hard partition: reachability block count (ToR outage and partial
+    /// partition can overlap, so this is a count, not a flag).
+    blocked: u32,
+    /// Gray fault: attempt-loss probability in permille, 1–1000 (a
+    /// degraded access link drops management calls probabilistically);
+    /// 0 when no loss is installed.
+    loss: u16,
+    /// Gray fault: clock permille, 1–999 — a DVFS-clamped node answers
+    /// at `rtt × 1000 / permille`; 0 at full clock.
+    slow: u16,
+    /// The board is down (crashed or unpowered).
+    down: bool,
+}
+
+impl Destination {
+    /// Whether an attempt reaching the daemon at `now` gets a reply
+    /// (unless the link drops it).
+    fn responsive(&self, now: SimTime) -> bool {
+        !self.down && self.blocked == 0 && self.hung_until <= now
+    }
+}
+
 /// The simulated management transport.
 #[derive(Debug, Clone)]
 pub struct RpcPlane {
     config: RpcConfig,
     jitter: ChaCha12Rng,
-    down: BTreeSet<NodeId>,
-    hung_until: BTreeMap<NodeId, SimTime>,
-    /// Gray fault: per-destination attempt-loss probability in permille
-    /// (a degraded access link drops management calls probabilistically).
-    loss: BTreeMap<NodeId, u16>,
-    /// Gray fault: per-destination clock permille — a DVFS-clamped node
-    /// answers at `rtt × 1000 / permille`.
-    slow: BTreeMap<NodeId, u16>,
-    /// Hard partition: reachability block counts (ToR outage and partial
-    /// partition can overlap, so this is a count, not a set).
-    blocked: BTreeMap<NodeId, u32>,
-    /// Per-destination calls that exhausted their retry budget.
-    exhausted: BTreeMap<NodeId, u64>,
+    /// One record per destination, indexed by [`NodeId::index`].
+    destinations: Vec<Destination>,
     stats: RpcStats,
 }
 
 impl RpcPlane {
-    /// Creates a plane with `config`, drawing jitter from the factory's
-    /// `rpc/jitter` stream.
-    pub fn new(config: RpcConfig, seeds: &SeedFactory) -> Self {
+    /// Creates a plane with `config` to the daemons of node ids
+    /// `0..nodes`, drawing jitter from the factory's `rpc/jitter` stream.
+    /// Every fault setter ignores an id outside that range, and a call
+    /// to one is answered as a healthy node answers.
+    pub fn new(config: RpcConfig, seeds: &SeedFactory, nodes: usize) -> Self {
         assert!(config.max_attempts > 0, "rpc needs at least one attempt");
         RpcPlane {
             config,
             jitter: seeds.stream("rpc/jitter"),
-            down: BTreeSet::new(),
-            hung_until: BTreeMap::new(),
-            loss: BTreeMap::new(),
-            slow: BTreeMap::new(),
-            blocked: BTreeMap::new(),
-            exhausted: BTreeMap::new(),
+            destinations: vec![Destination::default(); nodes],
             stats: RpcStats::default(),
         }
     }
@@ -163,90 +186,106 @@ impl RpcPlane {
         &self.config
     }
 
-    /// Marks a node crashed: calls to it will time out.
-    pub fn node_down(&mut self, node: NodeId) {
-        self.down.insert(node);
+    /// `node`'s record; a healthy one for an id outside the plane.
+    fn destination(&self, node: NodeId) -> Destination {
+        self.destinations
+            .get(node.index())
+            .copied()
+            .unwrap_or_default()
     }
 
-    /// Marks a crashed node reachable again.
-    pub fn node_up(&mut self, node: NodeId) {
-        self.down.remove(&node);
-        self.hung_until.remove(&node);
-    }
-
-    /// Wedges a node's daemon until `until`: the board answers pings but
-    /// the management API is silent.
-    pub fn hang_daemon(&mut self, node: NodeId, until: SimTime) {
-        let entry = self.hung_until.entry(node).or_insert(until);
-        if *entry < until {
-            *entry = until;
+    /// Applies `change` to `node`'s record; ignored for an id outside the
+    /// plane.
+    fn update(&mut self, node: NodeId, change: impl FnOnce(&mut Destination)) {
+        if let Some(d) = self.destinations.get_mut(node.index()) {
+            change(d);
         }
+    }
+
+    /// Marks a node crashed: calls to it will time out. Ignored for an id
+    /// outside the plane.
+    pub fn node_down(&mut self, node: NodeId) {
+        self.update(node, |d| d.down = true);
+    }
+
+    /// Marks a crashed node reachable again, ending any daemon hang.
+    /// Ignored for an id outside the plane.
+    pub fn node_up(&mut self, node: NodeId) {
+        self.update(node, |d| {
+            d.down = false;
+            d.hung_until = SimTime::ZERO;
+        });
+    }
+
+    /// Wedges a node's daemon until `until` (the later deadline wins when
+    /// hangs overlap): the board answers pings but the management API is
+    /// silent. Ignored for an id outside the plane.
+    pub fn hang_daemon(&mut self, node: NodeId, until: SimTime) {
+        self.update(node, |d| d.hung_until = d.hung_until.max(until));
     }
 
     /// Makes the link to `node` lossy: each attempt is independently
     /// dropped with probability `permille / 1000` (drawn from the jitter
     /// stream, so runs stay bit-reproducible). `0` clears the fault.
+    /// Ignored for an id outside the plane.
     pub fn set_loss(&mut self, node: NodeId, permille: u16) {
-        if permille == 0 {
-            self.loss.remove(&node);
-        } else {
-            self.loss.insert(node, permille.min(1000));
-        }
+        self.update(node, |d| d.loss = permille.min(1000));
     }
 
-    /// Heals a lossy link to `node`.
+    /// Heals a lossy link to `node`. Ignored for an id outside the plane.
     pub fn clear_loss(&mut self, node: NodeId) {
-        self.loss.remove(&node);
+        self.update(node, |d| d.loss = 0);
     }
 
     /// Clamps `node`'s daemon clock to `permille` of nominal: replies
     /// stretch to `rtt × 1000 / permille`. `1000` (or `0`) clears it.
+    /// Ignored for an id outside the plane.
     pub fn set_slow(&mut self, node: NodeId, permille: u16) {
-        if permille == 0 || permille >= 1000 {
-            self.slow.remove(&node);
-        } else {
-            self.slow.insert(node, permille);
-        }
+        self.update(node, |d| {
+            d.slow = if permille >= 1000 { 0 } else { permille }
+        });
     }
 
-    /// Restores `node`'s daemon to full clock.
+    /// Restores `node`'s daemon to full clock. Ignored for an id outside
+    /// the plane.
     pub fn clear_slow(&mut self, node: NodeId) {
-        self.slow.remove(&node);
+        self.update(node, |d| d.slow = 0);
     }
 
     /// Severs reachability to `node` (ToR outage, partial partition).
     /// Blocks stack: two overlapping causes need two [`RpcPlane::unblock`]s.
+    /// Ignored for an id outside the plane.
     pub fn block(&mut self, node: NodeId) {
-        *self.blocked.entry(node).or_insert(0) += 1;
+        self.update(node, |d| d.blocked += 1);
     }
 
-    /// Releases one reachability block on `node`.
+    /// Releases one reachability block on `node`; a no-op when none is
+    /// active or the id is outside the plane.
     pub fn unblock(&mut self, node: NodeId) {
-        if let Some(count) = self.blocked.get_mut(&node) {
-            *count -= 1;
-            if *count == 0 {
-                self.blocked.remove(&node);
-            }
-        }
+        self.update(node, |d| d.blocked = d.blocked.saturating_sub(1));
     }
 
-    /// Whether any reachability block is active on `node`.
+    /// Whether any reachability block is active on `node` (never, for an
+    /// id outside the plane).
     pub fn is_blocked(&self, node: NodeId) -> bool {
-        self.blocked.contains_key(&node)
+        self.destination(node).blocked > 0
     }
 
-    /// Per-destination counts of calls that exhausted their retry budget.
-    pub fn exhausted_by_node(&self) -> &BTreeMap<NodeId, u64> {
-        &self.exhausted
+    /// Per-destination counts of calls that exhausted their retry budget:
+    /// every destination with a non-zero count, in id order.
+    pub fn exhausted_by_node(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        self.destinations
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.exhausted > 0)
+            .map(|(index, d)| (NodeId(index as u32), d.exhausted))
     }
 
     /// Whether a call issued at `now` would get a reply (loss is
     /// probabilistic, so a lossy-but-alive node still counts as
-    /// responsive here).
+    /// responsive here; so does an id outside the plane).
     pub fn is_responsive(&self, node: NodeId, now: SimTime) -> bool {
-        !self.down.contains(&node)
-            && !self.blocked.contains_key(&node)
-            && self.hung_until.get(&node).is_none_or(|&t| t <= now)
+        self.destination(node).responsive(now)
     }
 
     /// Issues one management call to `node` at `now`.
@@ -254,7 +293,8 @@ impl RpcPlane {
     /// Returns the sim-time the caller spent on the call: a jittered RTT
     /// on success, or the total of timeouts and backoff waits on failure.
     /// Responsiveness is re-checked before each retry, so a daemon whose
-    /// hang expires mid-backoff serves the retry.
+    /// hang expires mid-backoff serves the retry. An id outside the
+    /// plane answers as a healthy node does.
     ///
     /// # Errors
     ///
@@ -300,6 +340,8 @@ impl RpcPlane {
             }),
             None => SpanId::NONE,
         };
+        // Nothing changes a destination's faults during a call.
+        let dest = self.destination(node);
         let mut waited = SimDuration::ZERO;
         for attempt in 0..self.config.max_attempts {
             if attempt > 0 {
@@ -317,18 +359,15 @@ impl RpcPlane {
             // Lossy link: the attempt may be eaten in flight. The draw
             // only happens when the fault is installed, so healthy-path
             // jitter sequences are untouched by this feature.
-            let dropped = match self.loss.get(&node) {
-                Some(&permille) => self.jitter.gen_range(0..1000u16) < permille,
-                None => false,
-            };
-            if !dropped && self.is_responsive(node, now + waited) {
+            let dropped = dest.loss > 0 && self.jitter.gen_range(0..1000u16) < dest.loss;
+            if !dropped && dest.responsive(now + waited) {
                 // Reply: RTT with up to 25% deterministic jitter, stretched
                 // if the destination's clock is DVFS-clamped.
                 let jitter = self.jitter.gen_range(0.0..0.25);
                 self.stats.replies += 1;
-                let rtt = match self.slow.get(&node) {
-                    Some(&permille) => self.config.rtt.mul_f64(1000.0 / f64::from(permille.max(1))),
-                    None => self.config.rtt,
+                let rtt = match dest.slow {
+                    0 => self.config.rtt,
+                    permille => self.config.rtt.mul_f64(1000.0 / f64::from(permille)),
                 };
                 let total = waited.saturating_add(rtt.mul_f64(1.0 + jitter));
                 if let Some((tracer, _)) = &mut trace {
@@ -356,7 +395,7 @@ impl RpcPlane {
             waited = waited.saturating_add(self.config.timeout);
         }
         self.stats.failures += 1;
-        *self.exhausted.entry(node).or_insert(0) += 1;
+        self.update(node, |d| d.exhausted += 1);
         if let Some((tracer, _)) = &mut trace {
             tracer.span_end(now + waited, span, |e| {
                 e.bool("ok", false);
@@ -392,7 +431,7 @@ impl RpcPlane {
     /// so repeated recording never double-counts.
     pub fn record_telemetry(&self, reg: &mut MetricsRegistry, now: SimTime) {
         self.stats.record_telemetry(reg, now);
-        for (node, &total) in &self.exhausted {
+        for (node, total) in self.exhausted_by_node() {
             let label = node.0.to_string();
             let c = reg.counter("rpc_retry_budget_exhausted_total", &[("node", &label)]);
             c.add(total - c.value());
@@ -419,7 +458,7 @@ mod tests {
     use super::*;
 
     fn plane(seed: u64) -> RpcPlane {
-        RpcPlane::new(RpcConfig::lan_default(), &SeedFactory::new(seed))
+        RpcPlane::new(RpcConfig::lan_default(), &SeedFactory::new(seed), 8)
     }
 
     #[test]
@@ -560,7 +599,7 @@ mod tests {
         assert!(p.call(NodeId(2), SimTime::ZERO).is_err());
         assert_eq!(p.stats().drops, 2);
         assert_eq!(p.stats().timeouts, 2);
-        assert_eq!(p.exhausted_by_node().get(&NodeId(2)), Some(&1));
+        assert_eq!(p.exhausted_by_node().collect::<Vec<_>>(), [(NodeId(2), 1)]);
         p.clear_loss(NodeId(2));
         assert!(p.call(NodeId(2), SimTime::from_secs(1)).is_ok());
     }

@@ -156,6 +156,12 @@ pub struct Engine<W> {
     cancelled: BTreeSet<u64>,
     next_seq: u64,
     events_fired: u64,
+    /// The buffers each firing event's [`EventContext`] borrows for what
+    /// it schedules and cancels, emptied into the queue and the cancelled
+    /// set after the event and kept, so a step allocates nothing once
+    /// they have grown.
+    pending: Vec<ScheduledEvent<W>>,
+    cancelling: Vec<EventId>,
 }
 
 impl<W> fmt::Debug for Engine<W> {
@@ -184,6 +190,8 @@ impl<W> Engine<W> {
             cancelled: BTreeSet::new(),
             next_seq: 0,
             events_fired: 0,
+            pending: Vec::new(),
+            cancelling: Vec::new(),
         }
     }
 
@@ -297,19 +305,21 @@ impl<W> Engine<W> {
             let mut ctx = EventContext {
                 now: self.now,
                 next_seq: self.next_seq,
-                pending: Vec::new(),
-                cancelled: Vec::new(),
+                pending: std::mem::take(&mut self.pending),
+                cancelled: std::mem::take(&mut self.cancelling),
                 stop_requested: false,
             };
             (event.action)(&mut self.world, &mut ctx);
             self.next_seq = ctx.next_seq;
-            for ev in ctx.pending {
+            for ev in ctx.pending.drain(..) {
                 self.queue.push(ev);
             }
+            self.pending = ctx.pending;
             let cancelled_any = !ctx.cancelled.is_empty();
-            for id in ctx.cancelled {
+            for id in ctx.cancelled.drain(..) {
                 self.cancelled.insert(id.0);
             }
+            self.cancelling = ctx.cancelled;
             if cancelled_any {
                 self.maybe_compact();
             }
