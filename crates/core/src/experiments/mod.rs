@@ -48,4 +48,4 @@ pub mod sla_exp;
 pub mod table1;
 pub mod traffic_exp;
 
-pub use registry::{find, Collect, Experiment, REGISTRY};
+pub use registry::{find, Experiment, REGISTRY};

@@ -73,10 +73,13 @@ impl PlacementExperiment {
     /// `n_groups` service groups on the paper's 56-node cluster, every
     /// policy, then a default consolidation pass realised on the fabric.
     ///
+    /// The sweep is about policy differences, not admission control: a
+    /// batch beyond the cluster's capacity is scored on the requests
+    /// placed before the first refusal (`placed` counts them).
+    ///
     /// # Panics
     ///
-    /// Panics if the batch exceeds cluster capacity (the sweep is about
-    /// policy differences, not admission control).
+    /// Panics if `n_groups` is zero.
     pub fn run(seed: u64, n_requests: usize, n_groups: u32) -> PlacementExperiment {
         assert!(n_groups > 0, "need at least one service group");
         let requests: Vec<PlacementRequest> = (0..n_requests)
@@ -90,11 +93,7 @@ impl PlacementExperiment {
         for kind in PolicyKind::all() {
             let mut view = ClusterView::picloud_default();
             let mut policy = kind.build(seed);
-            #[expect(
-                clippy::expect_used,
-                reason = "P1 debt carried over from lint-baseline.json"
-            )]
-            place_all(&mut view, &mut *policy, &requests).expect("batch fits the 56-node cluster");
+            let _ = place_all(&mut view, &mut *policy, &requests);
             placement.push(Self::score_placement(kind, &view, n_groups));
 
             // Consolidate and realise the migrations on the fabric.

@@ -59,8 +59,11 @@ impl Table1 {
     /// # Panics
     ///
     /// Panics if `machines` is zero.
-    pub fn run(machines: u32) -> Table1 {
+    pub fn run(machines: u16) -> Table1 {
         assert!(machines > 0, "a testbed needs machines");
+        let per_rack = machines.div_ceil(4);
+        let racks = machines.div_ceil(per_rack);
+        let machines = u32::from(machines);
         let row = |label: &str, cloud: &PiCloud| {
             let unit_power = cloud.node_spec().power.nameplate();
             let total_power = cloud.nameplate_power();
@@ -78,15 +81,10 @@ impl Table1 {
         };
         // Build both platforms as actual clouds so the figures come out of
         // the same inventory code the rest of the emulator uses.
-        let per_rack = machines.div_ceil(4).max(1);
-        #[expect(
-            clippy::expect_used,
-            reason = "P1 debt carried over from lint-baseline.json"
-        )]
         let build = |spec: NodeSpec| {
             PiCloud::builder()
-                .racks(u16::try_from(machines.div_ceil(per_rack)).expect("rack count fits"))
-                .pis_per_rack(u16::try_from(per_rack).expect("rack size fits"))
+                .racks(racks)
+                .pis_per_rack(per_rack)
                 .node_spec(spec)
                 .build()
         };

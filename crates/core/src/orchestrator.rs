@@ -70,10 +70,6 @@ pub struct MigrationOrchestrator {
     pub model: LiveMigrationModel,
     /// The workload's memory dirty rate during migration, bytes/s.
     pub dirty_rate_bps: f64,
-    /// Bandwidth-sharing weight of the migration stream (1.0 = compete
-    /// fairly with tenants; <1 deprioritises the migration — the §III
-    /// "synergistic optimisation" knob).
-    pub network_weight: f64,
 }
 
 impl Default for MigrationOrchestrator {
@@ -81,25 +77,7 @@ impl Default for MigrationOrchestrator {
         MigrationOrchestrator {
             model: LiveMigrationModel::default(),
             dirty_rate_bps: 1e6,
-            network_weight: 1.0,
         }
-    }
-}
-
-impl MigrationOrchestrator {
-    /// Deprioritises the migration stream to `weight` (< 1 protects
-    /// tenants at the cost of a longer migration).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `weight` is finite and positive.
-    pub fn with_network_weight(mut self, weight: f64) -> Self {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "weight must be positive"
-        );
-        self.network_weight = weight;
-        self
     }
 }
 
@@ -172,9 +150,7 @@ impl MigrationOrchestrator {
         let start = now.max(sim.now());
         let flow_id = sim
             .inject(
-                FlowSpec::new(src_dev, dst_dev, model.bytes_transferred)
-                    .with_tag("migration")
-                    .with_weight(self.network_weight),
+                FlowSpec::new(src_dev, dst_dev, model.bytes_transferred).with_tag("migration"),
                 start,
             )
             .map_err(|e| ApiError::Conflict(format!("no migration path {from} -> {to}: {e}")))?;
@@ -469,42 +445,6 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err.status_code(), 404);
-    }
-
-    #[test]
-    fn polite_migration_takes_longer_but_yields_to_tenants() {
-        // Same migration at weight 0.25 under a competing tenant elephant:
-        // the migration stretches, which is the point — the tenant gets
-        // the bandwidth (verified at the flowsim level).
-        let run = |weight: f64| {
-            let (mut cloud, mut sim, mut fabric, ct) = setup();
-            let src = cloud.device_of(NodeId(0));
-            let other = cloud.device_of(NodeId(5));
-            sim.inject(
-                FlowSpec::new(src, other, Bytes::mib(64)).with_tag("tenant"),
-                SimTime::ZERO,
-            )
-            .expect("routeable");
-            MigrationOrchestrator::default()
-                .with_network_weight(weight)
-                .migrate(
-                    &mut cloud,
-                    &mut sim,
-                    &mut fabric,
-                    NodeId(0),
-                    ct,
-                    NodeId(20),
-                    SimTime::ZERO,
-                )
-                .expect("migrates")
-                .network_time
-        };
-        let fair = run(1.0);
-        let polite = run(0.25);
-        assert!(
-            polite > fair,
-            "deprioritised migration takes longer: {polite} vs {fair}"
-        );
     }
 
     #[test]

@@ -4,19 +4,22 @@
 //! state into a [`MetricsRegistry`]; the recovery loop additionally
 //! streams a sim-time trace. This module is the umbrella over both: each
 //! entry of the experiment [`REGISTRY`](crate::experiments::REGISTRY)
-//! carries a collector that runs the experiment and converts its typed
-//! result into labeled series, so one CLI call
+//! has one `run` that renders its report and, given an enabled sink,
+//! records into it, so one CLI call
 //! (`picloud telemetry --experiment e17 --format jsonl`) yields a
-//! machine-readable snapshot of any paper artifact.
+//! machine-readable snapshot of any paper artifact, and a report and its
+//! telemetry always come from the same run:
 //!
-//! Two collection styles coexist ([`Collect`]):
+//! * experiments that advance a simulated clock record *as it passes*:
+//!   `recovery`/E17 its power, link utilisation, container lifecycle and
+//!   recovery series plus every fault, detection and failover event;
+//!   `traffic`/E7 its fully remote replay's link series on the scrape
+//!   grid; `sla`/E16 a webserver run near the knee;
+//! * the others set their result gauges at t = 0 from the finished run;
+//!   fig4, sdn and fidelity add a traced walk-through (spans).
 //!
-//! * **Live** (`recovery`/E17): the run records power, link utilisation,
-//!   container lifecycle and recovery series *as simulated time passes*,
-//!   and the tracer captures every fault, detection and failover event.
-//! * **Summary** (everything else): the experiment runs to completion and
-//!   its report is folded into gauges/counters at the end, bracketed by
-//!   `experiment_start`/`experiment_end` trace events.
+//! Recording never perturbs: a run with a disabled sink does no telemetry
+//! work and renders the same report bytes.
 //!
 //! All output is byte-deterministic for a fixed `(experiment, seed)`:
 //! series iterate in sorted order and floats render through one
@@ -25,7 +28,7 @@
 //!
 //! [`MetricsRegistry`]: picloud_simcore::telemetry::MetricsRegistry
 
-use crate::experiments::{self, Collect};
+use crate::experiments;
 use picloud_simcore::telemetry::slo::{AlertPolicy, AlertTimeline, SloPolicy, SloReport};
 use picloud_simcore::telemetry::tsdb::{QueryFn, ScrapeConfig, TimeSeriesDb};
 use picloud_simcore::telemetry::{json_escape, MetricsSnapshot, TelemetrySink};
@@ -40,7 +43,9 @@ pub struct ExperimentTelemetry {
     pub id: &'static str,
     /// Seed the run used.
     pub seed: u64,
-    /// Sim-time instant the snapshot describes (the run's horizon).
+    /// Sim-time instant the snapshot describes: the run's last scrape (a
+    /// clocked run's horizon or a traced walk-through's end; t = 0 when
+    /// the run scraped nothing).
     pub taken_at: SimTime,
     /// The recorded series and trace.
     pub sink: TelemetrySink,
@@ -68,22 +73,15 @@ impl ExperimentTelemetry {
         let exp = experiments::find(name)?;
         let scrape = ScrapeConfig::every(exp.scrape_every);
         let mut sink = TelemetrySink::recording_with_tsdb(SimTime::ZERO, scrape);
-        let taken_at = match exp.collect {
-            Collect::Live(run) => run(seed, &mut sink),
-            Collect::Summary(fold) => {
-                sink.tracer.emit(SimTime::ZERO, "experiment_start", |e| {
-                    e.str("experiment", exp.id).u64("seed", seed);
-                });
-                let end = fold(seed, &mut sink);
-                sink.tracer.emit(end, "experiment_end", |e| {
-                    e.str("experiment", exp.id);
-                });
-                // Forced final scrape: windowed queries then cover the whole
-                // horizon, including the summary gauges folded in at the end.
-                sink.scrape_now(end);
-                end
-            }
-        };
+        (exp.run)(seed, &mut sink);
+        // The snapshot describes the run's last scrape. One more scrape
+        // there samples what the run recorded after it (result gauges);
+        // it appends nothing when nothing changed.
+        let taken_at = sink
+            .tsdb()
+            .and_then(|db| db.scrape_times().last().copied())
+            .unwrap_or(SimTime::ZERO);
+        sink.scrape_now(taken_at);
         Some(ExperimentTelemetry {
             id: exp.id,
             seed,
@@ -350,9 +348,6 @@ mod tests {
         for id in ["table1", "fig1", "fig2", "fig3", "fig4", "power", "dvfs"] {
             let t = ExperimentTelemetry::collect(id, 1).expect(id);
             assert!(!t.sink.registry.is_empty(), "{id} produced no series");
-            // At least the start/end bracket; span-instrumented ids
-            // (fig4's panel refreshes) add span_start/span_end pairs.
-            assert!(t.sink.tracer.len() >= 2, "{id} start/end events");
             assert!(!t.metrics_jsonl().is_empty());
             assert!(!t.metrics_csv().is_empty());
             assert!(!t.metrics_prometheus().is_empty());

@@ -23,7 +23,7 @@ impl fmt::Display for FlowId {
 }
 
 /// What a caller asks the simulator to transfer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
     /// Sending host.
     pub src: DeviceId,
@@ -33,49 +33,29 @@ pub struct FlowSpec {
     pub size: Bytes,
     /// Application tag carried through to the completion record (e.g.
     /// `"http"`, `"shuffle"`, `"migration"`).
-    pub tag: String,
-    /// Bandwidth-sharing weight (default 1.0). Under weighted max–min
-    /// fairness a weight-0.5 flow takes half a weight-1 flow's share on a
-    /// contended link — how an operator protects tenant traffic from
-    /// migration streams (§III's "synergistic optimisation").
-    pub weight: f64,
+    pub tag: &'static str,
 }
 
 impl FlowSpec {
-    /// Creates a spec with an empty tag and weight 1.
+    /// Creates a spec with an empty tag.
     pub fn new(src: DeviceId, dst: DeviceId, size: Bytes) -> Self {
         FlowSpec {
             src,
             dst,
             size,
-            tag: String::new(),
-            weight: 1.0,
+            tag: "",
         }
     }
 
     /// Sets the application tag.
-    pub fn with_tag(mut self, tag: impl Into<String>) -> Self {
-        self.tag = tag.into();
-        self
-    }
-
-    /// Sets the bandwidth-sharing weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `weight` is finite and strictly positive.
-    pub fn with_weight(mut self, weight: f64) -> Self {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "flow weight must be positive"
-        );
-        self.weight = weight;
+    pub fn with_tag(mut self, tag: &'static str) -> Self {
+        self.tag = tag;
         self
     }
 }
 
 /// A live flow inside the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Flow {
     /// This flow's id.
     pub id: FlowId,
@@ -92,7 +72,7 @@ pub struct Flow {
 }
 
 /// A finished flow, with its completion statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompletedFlow {
     /// This flow's id.
     pub id: FlowId,

@@ -360,8 +360,8 @@ impl FlowTable {
 /// One disjoint dirty region prepared for solving, with the solver's
 /// working memory and its output. A job is fully **owned** — its
 /// resources (with capacities and inverted-index counts snapshotted from
-/// the simulator) and its flows (flow-table slots ascending; weights and
-/// CSR-flattened paths index-aligned) — so it can ship to the persistent
+/// the simulator) and its flows (flow-table slots ascending, with their
+/// CSR-flattened paths) — so it can ship to the persistent
 /// [`SolverPool`], whose workers outlive any single borrow of the
 /// simulator, and come back. Paths are stored as positions in
 /// `res_list`, so every per-resource array is sized to the region, not
@@ -373,7 +373,6 @@ struct SolveJob {
     res_list: Vec<usize>,
     /// The region's flow-table slots, ascending (so in flow-id order).
     slots: Vec<u32>,
-    weight: Vec<f64>,
     /// CSR offsets: flow `i`'s path occupies
     /// `path_res[path_start[i] as usize..path_start[i + 1] as usize]`.
     path_start: Vec<u32>,
@@ -382,13 +381,14 @@ struct SolveJob {
     /// `resource_capacity[r]` for each `r` in `res_list`, index-aligned.
     capacity: Vec<f64>,
     /// `flows_on[r].len()` for each `r` in `res_list` — the equal-share
-    /// denominators.
+    /// denominators, and the max–min fill's starting unfrozen counts
+    /// (the region is bi-closed, so every flow on `r` is in the job).
     flow_count: Vec<u32>,
     /// Capacity not yet handed out, per region resource (the equal-share
     /// fill keeps its per-resource shares here).
     cap_left: Vec<f64>,
-    /// Total weight of the unfrozen flows on each region resource.
-    weight_on: Vec<f64>,
+    /// Unfrozen flows on each region resource.
+    unfrozen_on: Vec<u32>,
     /// CSR of region-flow indices per region resource:
     /// `idx_on[start[k] as usize..start[k + 1] as usize]`, filled through
     /// `cursor`.
@@ -410,7 +410,7 @@ impl SolveJob {
         }
     }
 
-    /// Weighted progressive-filling water-fill restricted to the region.
+    /// Progressive-filling water-fill restricted to the region.
     ///
     /// The pick order (lowest-index resource among minima), freeze order
     /// (ascending flow id) and arithmetic order are identical whether the
@@ -421,12 +421,12 @@ impl SolveJob {
     fn solve_max_min(&mut self) {
         let SolveJob {
             slots,
-            weight,
             path_start,
             path_res,
             capacity,
+            flow_count,
             cap_left,
-            weight_on,
+            unfrozen_on,
             start,
             idx_on,
             cursor,
@@ -444,15 +444,10 @@ impl SolveJob {
         frozen.clear();
         frozen.resize(n_flows, false);
         let mut n_unfrozen = n_flows;
-        // Weighted max-min: each resource tracks the total weight of the
-        // unfrozen flows crossing it; the fair share is per unit weight.
-        weight_on.clear();
-        weight_on.resize(n_res, 0.0);
-        for (i, &w) in weight.iter().enumerate() {
-            for &k in path(i) {
-                weight_on[k as usize] += w;
-            }
-        }
+        // Each resource's fair share splits what is left of it among the
+        // unfrozen flows crossing it.
+        unfrozen_on.clear();
+        unfrozen_on.extend_from_slice(flow_count);
         // CSR of region-flow indices per resource, ascending by flow id —
         // the same order `flows_on` iterates, without any tree walks or
         // searches in the fill loop below.
@@ -475,50 +470,42 @@ impl SolveJob {
             }
         }
         while n_unfrozen > 0 {
-            // Find the tightest resource: min cap_left / weight_on.
+            // Find the tightest resource: min cap_left / unfrozen_on.
             let mut bottleneck: Option<(usize, f64)> = None;
             for k in 0..n_res {
-                if weight_on[k] <= 0.0 {
+                if unfrozen_on[k] == 0 {
                     continue;
                 }
-                let fair = cap_left[k] / weight_on[k];
+                let fair = cap_left[k] / f64::from(unfrozen_on[k]);
                 match bottleneck {
                     Some((_, best)) if best <= fair => {}
                     _ => bottleneck = Some((k, fair)),
                 }
             }
             let Some((bott, fair)) = bottleneck else {
-                // No resource carries unfrozen weight. Every active flow
-                // has a non-empty path, so only float residue gets here;
-                // the remaining rates stay 0.0.
+                // Every active flow has a non-empty path, so an unfrozen
+                // flow always leaves its resources a count; the loop ends
+                // through `n_unfrozen`.
                 break;
             };
-            // Freeze every unfrozen flow crossing the bottleneck at its
-            // weighted share of the bottleneck's fair rate. The inverted
-            // index yields exactly those flows in ascending id order, so
-            // the fill never rescans flows the bottleneck doesn't touch.
-            let mut froze_any = false;
+            // Freeze every unfrozen flow crossing the bottleneck at the
+            // bottleneck's fair rate — at least one, since its count is
+            // non-zero. The inverted index yields exactly those flows in
+            // ascending id order, so the fill never rescans flows the
+            // bottleneck doesn't touch.
             for &fi in &idx_on[start[bott] as usize..start[bott + 1] as usize] {
                 let i = fi as usize;
                 if frozen[i] {
                     continue;
                 }
-                let w = weight[i];
-                let rate = fair * w;
-                rates[i] = rate;
+                rates[i] = fair;
                 frozen[i] = true;
-                froze_any = true;
                 n_unfrozen -= 1;
                 for &k in path(i) {
                     let k = k as usize;
-                    cap_left[k] = (cap_left[k] - rate).max(0.0);
-                    weight_on[k] -= w;
+                    cap_left[k] = (cap_left[k] - fair).max(0.0);
+                    unfrozen_on[k] -= 1;
                 }
-            }
-            if !froze_any {
-                // Float residue left phantom weight on a resource whose
-                // flows are all frozen; retire it so the fill terminates.
-                weight_on[bott] = 0.0;
             }
         }
     }
@@ -932,8 +919,8 @@ impl FlowSimulator {
         fwd.len() + rev.iter().filter(|s| fwd.binary_search(s).is_err()).count()
     }
 
-    /// Records the fabric's telemetry into `reg` at the simulator's
-    /// current instant: per-link gauges
+    /// Records the fabric's telemetry into `reg` as of instant `at`, at or
+    /// after the simulator's clock: per-link gauges
     /// `network_link_utilisation{link}` (instantaneous, busier
     /// direction), `network_link_mean_utilisation{link}` (time-weighted
     /// since start), `network_link_bytes_carried{link}` and
@@ -944,22 +931,30 @@ impl FlowSimulator {
     /// the `network_partition_solves_total{partition}` counter — one
     /// series per pod/rack bucket plus `partition="shared"` for
     /// spine-crossing regions.
-    pub fn record_telemetry(&self, reg: &mut MetricsRegistry) {
-        let now = self.now;
+    ///
+    /// Rates are constant until the next completion, so a caller that
+    /// has retired every completion due by `at` reads the state as of
+    /// `at` — bytes carried and mean utilisation are extrapolated from
+    /// the current rates — without stepping the solver there.
+    pub fn record_telemetry(&self, reg: &mut MetricsRegistry, at: SimTime) {
+        let dt = at.saturating_duration_since(self.now).as_secs_f64();
+        let bits = |r: usize| self.resource_bits[r] + self.resource_used[r] * dt;
+        let mean = |r: usize| self.resource_util[r].mean(at);
         for l in self.topo.links() {
             let id = l.id.0.to_string();
             let labels = [("link", id.as_str())];
+            let (fwd, rev) = (l.id.index() * 2, l.id.index() * 2 + 1);
             reg.gauge("network_link_utilisation", &labels)
-                .set(now, self.link_utilisation(l.id));
+                .set(at, self.link_utilisation(l.id));
             reg.gauge("network_link_mean_utilisation", &labels)
-                .set(now, self.mean_link_utilisation(l.id));
+                .set(at, (mean(fwd) + mean(rev)) / 2.0);
             reg.gauge("network_link_bytes_carried", &labels)
-                .set(now, self.link_bytes_carried(l.id));
+                .set(at, (bits(fwd) + bits(rev)) / 8.0);
             reg.gauge("network_link_active_flows", &labels)
-                .set(now, self.link_active_flows(l.id) as f64);
+                .set(at, self.link_active_flows(l.id) as f64);
         }
         reg.gauge("network_active_flows", &[])
-            .set(now, self.active_count() as f64);
+            .set(at, self.active_count() as f64);
         // The counter tracks the monotonic completion total, not the
         // drainable `completed` buffer: `completed().len()` shrinks on
         // `drain_completed()`, and subtracting it from the counter would
@@ -967,7 +962,7 @@ impl FlowSimulator {
         let done = reg.counter("network_completed_flows_total", &[]);
         done.add(self.completed_total.saturating_sub(done.value()));
         reg.gauge("network_partitions", &[])
-            .set(now, self.partitions.partition_count() as f64);
+            .set(at, self.partitions.partition_count() as f64);
         for (b, &solves) in self.partition_solves.iter().enumerate() {
             let label = self.partitions.bucket_label(b as u32);
             let labels = [("partition", label.as_str())];
@@ -1185,7 +1180,6 @@ impl FlowSimulator {
             }
         }
         job.slots.clear();
-        job.weight.clear();
         job.path_start.clear();
         job.path_start.push(0);
         job.path_res.clear();
@@ -1196,7 +1190,6 @@ impl FlowSimulator {
                 bits &= bits - 1;
                 let af = self.table.at(slot);
                 job.slots.push(slot);
-                job.weight.push(af.flow.spec.weight);
                 job.path_res
                     .extend(af.resources.iter().map(|r| local_of[r.0]));
                 job.path_start.push(job.path_res.len() as u32);
@@ -1433,77 +1426,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_flows_share_proportionally() {
-        // A weight-2 flow gets twice a weight-1 flow's share of the
-        // contended access link: same size, so it finishes first, at the
-        // 2/3-of-link rate exactly.
-        let (topo, a, b) = two_hosts();
-        let mut s = sim(topo);
-        let heavy = s
-            .inject(
-                FlowSpec::new(a, b, Bytes::mib(8)).with_weight(2.0),
-                SimTime::ZERO,
-            )
-            .unwrap();
-        let light = s
-            .inject(
-                FlowSpec::new(a, b, Bytes::mib(8)).with_weight(1.0),
-                SimTime::ZERO,
-            )
-            .unwrap();
-        s.run_to_completion();
-        let finish = |id| {
-            s.completed()
-                .iter()
-                .find(|c| c.id == id)
-                .expect("completed")
-                .finished
-        };
-        assert!(finish(heavy) < finish(light));
-        let t_heavy = finish(heavy).as_secs_f64();
-        let expect = 8.0 * 8.0 * 1024.0 * 1024.0 / (100e6 * 2.0 / 3.0);
-        assert!((t_heavy - expect).abs() < 0.01, "{t_heavy} vs {expect}");
-    }
-
-    #[test]
-    fn deprioritised_migration_protects_the_tenant() {
-        // The §III knob: the same migration at weight 0.25 slows the
-        // tenant flow far less.
-        let run = |migration_weight: f64| {
-            let topo = Topology::multi_root_tree(2, 1, 1);
-            let hosts: Vec<_> = topo.hosts().map(|h| h.id).collect();
-            let (a, b) = (hosts[0], hosts[1]);
-            let mut s =
-                FlowSimulator::new(topo, RoutingPolicy::SingleShortest, RateAllocator::MaxMin);
-            s.inject(
-                FlowSpec::new(a, b, Bytes::mib(64))
-                    .with_tag("migration")
-                    .with_weight(migration_weight),
-                SimTime::ZERO,
-            )
-            .unwrap();
-            s.inject(
-                FlowSpec::new(a, b, Bytes::mib(4)).with_tag("tenant"),
-                SimTime::ZERO,
-            )
-            .unwrap();
-            s.run_to_completion();
-            s.completed()
-                .iter()
-                .find(|c| c.spec.tag == "tenant")
-                .expect("tenant finished")
-                .fct()
-                .as_secs_f64()
-        };
-        let fair = run(1.0);
-        let polite = run(0.25);
-        assert!(
-            polite < fair * 0.7,
-            "deprioritised migration: tenant {polite:.3}s vs {fair:.3}s"
-        );
-    }
-
-    #[test]
     fn zero_size_flow_completes_immediately() {
         let (topo, a, b) = two_hosts();
         let mut s = sim(topo);
@@ -1705,16 +1627,10 @@ mod tests {
         let b = topo.add_device(crate::topology::DeviceKind::Host { rack: 0 }, "b");
         topo.add_link(a, b, Bandwidth::ZERO, SimDuration::from_nanos(100));
         let mut s = sim(topo);
-        s.inject(
-            FlowSpec::new(a, b, Bytes::mib(1)).with_weight(2.0),
-            SimTime::ZERO,
-        )
-        .unwrap();
-        s.inject(
-            FlowSpec::new(a, b, Bytes::mib(1)).with_weight(0.5),
-            SimTime::ZERO,
-        )
-        .unwrap();
+        for _ in 0..2 {
+            s.inject(FlowSpec::new(a, b, Bytes::mib(1)), SimTime::ZERO)
+                .unwrap();
+        }
         // Both flows are routed but starved: no completion instant exists,
         // time passes without progress, and cancel still unwinds cleanly.
         assert_eq!(s.next_completion_time(), None);
@@ -1802,12 +1718,34 @@ mod tests {
         let mut reg = MetricsRegistry::new(SimTime::ZERO);
         s.inject(FlowSpec::new(a, b, Bytes::ZERO), SimTime::ZERO)
             .unwrap();
-        s.record_telemetry(&mut reg);
+        s.record_telemetry(&mut reg, s.now());
         s.drain_completed();
         s.inject(FlowSpec::new(a, b, Bytes::ZERO), SimTime::ZERO)
             .unwrap();
-        s.record_telemetry(&mut reg);
+        s.record_telemetry(&mut reg, s.now());
         assert_eq!(reg.counter("network_completed_flows_total", &[]).value(), 2);
+    }
+
+    #[test]
+    fn telemetry_read_ahead_matches_a_stepped_clock() {
+        // Between events rates are constant: reading at 1 s without
+        // stepping equals stepping to 1 s and reading there.
+        use picloud_simcore::telemetry::MetricsRegistry;
+        let (topo, a, b) = two_hosts();
+        let mut s = sim(topo);
+        s.inject(FlowSpec::new(a, b, Bytes::mib(100)), SimTime::ZERO)
+            .unwrap();
+        let at = SimTime::from_secs(1);
+        let mut stepped = s.clone();
+        stepped.advance_to(at);
+        let read = |sim: &FlowSimulator| {
+            let mut reg = MetricsRegistry::new(SimTime::ZERO);
+            sim.record_telemetry(&mut reg, at);
+            reg.snapshot(at).to_jsonl()
+        };
+        assert_eq!(s.now(), SimTime::ZERO);
+        assert_eq!(read(&s), read(&stepped));
+        assert!(read(&s).contains("network_link_bytes_carried"));
     }
 
     #[test]
@@ -2032,7 +1970,6 @@ mod tests {
                 hosts[(7 * i + 3) % 16],
                 Bytes::kib(64 + 48 * (i as u64 % 11)),
             )
-            .with_weight([0.5, 1.0, 2.5][i % 3])
         };
         let drive = |s: &mut FlowSimulator, rounds: std::ops::Range<usize>| {
             for i in rounds {

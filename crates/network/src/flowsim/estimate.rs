@@ -18,8 +18,8 @@
 //!    [`EPSILON`] of a cluster representative under the
 //!    dimension-normalised Euclidean distance.
 //! 3. **Representatives** — one *exact* single-link solve runs per
-//!    cluster: on an isolated link max–min fairness is weighted
-//!    processor sharing, so the representative's crossing flows are
+//!    cluster: on an isolated link max–min fairness is processor
+//!    sharing, so the representative's crossing flows are
 //!    solved with the `O(n log n)` virtual-time construction instead of
 //!    the event loop, fanned out on the quarantined
 //!    [`partition::SolverPool`].
@@ -253,8 +253,8 @@ fn size_bits(spec: &FlowSpec) -> f64 {
 struct RepJob {
     capacity_bps: u64,
     latency: SimDuration,
-    /// `(start, size, weight)` of each crossing flow, workload order.
-    flows: Vec<(SimTime, Bytes, f64)>,
+    /// `(start, size)` of each crossing flow, workload order.
+    flows: Vec<(SimTime, Bytes)>,
 }
 
 /// The estimation-mode counterpart of
@@ -266,20 +266,19 @@ struct RepJob {
 pub struct FlowEstimator {
     topo: Topology,
     policy: RoutingPolicy,
-    allocator: RateAllocator,
     workers: usize,
     config: EstimateConfig,
 }
 
 impl FlowEstimator {
-    /// Creates an estimator over `topo` with the given routing policy
-    /// and rate allocator (the representatives replay under the same
-    /// allocator the exact oracle would use).
-    pub fn new(topo: Topology, policy: RoutingPolicy, allocator: RateAllocator) -> Self {
+    /// Creates an estimator over `topo` with the given routing policy.
+    /// The allocator is the exact oracle's; every representative is one
+    /// isolated link, on which max–min and equal share coincide, so the
+    /// estimate does not depend on it.
+    pub fn new(topo: Topology, policy: RoutingPolicy, _allocator: RateAllocator) -> Self {
         FlowEstimator {
             topo,
             policy,
-            allocator,
             workers: 1,
             config: EstimateConfig::default(),
         }
@@ -376,13 +375,12 @@ impl FlowEstimator {
         for f in &routed.flows {
             let (at, spec) = routed.event(f);
             for &ci in reps_on_path.get(f.path as usize) {
-                jobs[ci as usize].flows.push((*at, spec.size, spec.weight));
+                jobs[ci as usize].flows.push((*at, spec.size));
             }
         }
         let rep_flows_solved: usize = jobs.iter().map(|j| j.flows.len()).sum();
-        let allocator = self.allocator;
         let dists: Vec<EDist> = partition::SolverPool::new(self.workers)
-            .run_ordered(jobs, move |_, job| run_representative(&job, allocator));
+            .run_ordered(jobs, |_, job| run_representative(&job));
         // --- 4. Compose predictions: the blended slowdown over the
         //        clusters on the flow's path, sampled comonotonically
         //        (one draw coordinate per flow).
@@ -634,19 +632,17 @@ fn cluster_links(features: &[LinkFeatures], seeds: &SeedFactory) -> Vec<LinkClus
 
 /// Solves one cluster representative exactly: its crossing flows on an
 /// isolated link at the representative's capacity. On a single link,
-/// max–min fair allocation *is* weighted processor sharing, so instead
-/// of replaying a two-host topology through the full event loop the
-/// representative is solved with the classic virtual-time construction:
-/// virtual time `V` advances at `capacity / Σweights`, a flow arriving
-/// at `V₀` completes when `V` reaches `V₀ + bits/weight`, and real time
-/// maps back through the same rate. `O(n log n)` per representative
-/// (one heap pop per flow) versus the event loop's per-event region
-/// re-solve — this is where the estimation mode's speed lives. The
-/// equal-share ablation drops the weights (every active flow gets
-/// `capacity / n`, which the same construction yields with unit
-/// weights). Returns the empirical distribution of per-flow slowdowns
-/// (FCT ÷ contention-free FCT).
-fn run_representative(job: &RepJob, allocator: RateAllocator) -> EDist {
+/// max–min fair allocation *is* processor sharing (and so is equal
+/// share), so instead of replaying a two-host topology through the full
+/// event loop the representative is solved with the classic virtual-time
+/// construction: virtual time `V` (bits served to each active flow)
+/// advances at `capacity / active`, a flow arriving at `V₀` completes
+/// when `V` reaches `V₀ + bits`, and real time maps back through the
+/// same rate. `O(n log n)` per representative (one heap pop per flow)
+/// versus the event loop's per-event region re-solve — this is where the
+/// estimation mode's speed lives. Returns the empirical distribution of
+/// per-flow slowdowns (FCT ÷ contention-free FCT).
+fn run_representative(job: &RepJob) -> EDist {
     let cap = job.capacity_bps as f64;
     let latency = job.latency.as_secs_f64();
     if cap <= 0.0 {
@@ -657,24 +653,21 @@ fn run_representative(job: &RepJob, allocator: RateAllocator) -> EDist {
     // bit pattern plus the arrival index as a deterministic tie-break.
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(job.flows.len());
     let mut slowdowns = vec![1.0f64; job.flows.len()];
-    let mut v = 0.0f64; // virtual time, bits per unit weight
+    let mut v = 0.0f64; // virtual time, bits per active flow
     let mut t = 0.0f64; // real time, seconds
-    let mut sum_w = 0.0f64;
-    let mut weight_of = vec![0.0f64; job.flows.len()];
+    let mut active = 0usize;
     let mut arrival_of = vec![0.0f64; job.flows.len()];
     let complete = |idx: usize,
                     finish_v: f64,
                     v: &mut f64,
                     t: &mut f64,
-                    sum_w: &mut f64,
-                    weight_of: &[f64],
+                    active: &mut usize,
                     arrival_of: &[f64],
-                    slowdowns: &mut [f64],
-                    flows: &[(SimTime, Bytes, f64)]| {
-        *t += (finish_v - *v) * *sum_w / cap;
+                    slowdowns: &mut [f64]| {
+        *t += (finish_v - *v) * *active as f64 / cap;
         *v = finish_v;
-        *sum_w = (*sum_w - weight_of[idx]).max(0.0);
-        let bits = flows[idx].1.as_u64() as f64 * 8.0;
+        *active -= 1;
+        let bits = job.flows[idx].1.as_u64() as f64 * 8.0;
         let ideal = bits / cap + latency;
         let fct = (*t - arrival_of[idx]) + latency;
         slowdowns[idx] = if ideal > 0.0 {
@@ -683,12 +676,12 @@ fn run_representative(job: &RepJob, allocator: RateAllocator) -> EDist {
             1.0
         };
     };
-    for (i, &(at, size, weight)) in job.flows.iter().enumerate() {
+    for (i, &(at, size)) in job.flows.iter().enumerate() {
         let arrive = at.saturating_duration_since(SimTime::ZERO).as_secs_f64();
         // Drain completions that land before this arrival.
         while let Some(&Reverse((vbits, idx))) = heap.peek() {
             let finish_v = f64::from_bits(vbits);
-            let t_done = t + (finish_v - v) * sum_w / cap;
+            let t_done = t + (finish_v - v) * active as f64 / cap;
             if t_done > arrive {
                 break;
             }
@@ -698,28 +691,20 @@ fn run_representative(job: &RepJob, allocator: RateAllocator) -> EDist {
                 finish_v,
                 &mut v,
                 &mut t,
-                &mut sum_w,
-                &weight_of,
+                &mut active,
                 &arrival_of,
                 &mut slowdowns,
-                &job.flows,
             );
         }
         // Advance virtual time to the arrival instant and admit.
-        if sum_w > 0.0 {
-            v += (arrive - t) * cap / sum_w;
+        if active > 0 {
+            v += (arrive - t) * cap / active as f64;
         }
         t = arrive;
-        let w = weight.max(f64::MIN_POSITIVE);
-        let w = match allocator {
-            RateAllocator::MaxMin => w,
-            RateAllocator::EqualShare => 1.0,
-        };
         let bits = size.as_u64() as f64 * 8.0;
-        weight_of[i] = w;
         arrival_of[i] = arrive;
-        sum_w += w;
-        heap.push(Reverse(((v + bits / w).to_bits(), i)));
+        active += 1;
+        heap.push(Reverse(((v + bits).to_bits(), i)));
     }
     while let Some(Reverse((vbits, idx))) = heap.pop() {
         complete(
@@ -727,11 +712,9 @@ fn run_representative(job: &RepJob, allocator: RateAllocator) -> EDist {
             f64::from_bits(vbits),
             &mut v,
             &mut t,
-            &mut sum_w,
-            &weight_of,
+            &mut active,
             &arrival_of,
             &mut slowdowns,
-            &job.flows,
         );
     }
     EDist::from_samples(slowdowns)

@@ -118,17 +118,20 @@ impl ClusterView {
     ///
     /// # Panics
     ///
-    /// Panics if `count` or `rack_size` is zero.
+    /// Panics if `count` or `rack_size` is zero, or if the nodes need more
+    /// racks than a `u16` numbers.
     pub fn homogeneous(count: u32, rack_size: u32, spec: &NodeSpec) -> Self {
         assert!(count > 0 && rack_size > 0, "counts must be positive");
-        #[expect(
-            clippy::expect_used,
-            reason = "P1 debt carried over from lint-baseline.json"
-        )]
+        assert!(
+            (count - 1) / rack_size <= u32::from(u16::MAX),
+            "too many racks"
+        );
+        let racks = (0..=u16::MAX).flat_map(|rack| std::iter::repeat_n(rack, rack_size as usize));
         let nodes = (0..count)
-            .map(|i| NodeState {
+            .zip(racks)
+            .map(|(i, rack)| NodeState {
                 node: NodeId(i),
-                rack: u16::try_from(i / rack_size).expect("too many racks"),
+                rack,
                 ram_capacity: spec.guest_ram(),
                 cpu_capacity_hz: spec.total_compute_hz() as f64,
                 ram_used: Bytes::ZERO,
@@ -240,32 +243,26 @@ impl ClusterView {
         ticket
     }
 
-    /// Releases a placement, freeing its resources. Returns where it was.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown ticket.
-    pub fn release(&mut self, ticket: PlacementTicket) -> (NodeId, PlacementRequest) {
-        #[expect(clippy::panic, reason = "P1 debt carried over from lint-baseline.json")]
-        let (node, req) = self
-            .placements
-            .remove(&ticket)
-            .unwrap_or_else(|| panic!("unknown {ticket}"));
+    /// Releases a placement, freeing its resources. Returns where it was
+    /// and what it held; `None` (and no change) for an unknown ticket.
+    pub fn release(&mut self, ticket: PlacementTicket) -> Option<(NodeId, PlacementRequest)> {
+        let (node, req) = self.placements.remove(&ticket)?;
         let state = &mut self.nodes[node.index()];
         state.ram_used -= req.ram;
         state.cpu_used_hz = (state.cpu_used_hz - req.cpu_hz).max(0.0);
-        (node, req)
+        Some((node, req))
     }
 
     /// Moves a placement to `target` (resources permitting).
     ///
-    /// Returns the source node.
+    /// Returns the source node; `None` (and no change) for an unknown
+    /// ticket.
     ///
     /// # Panics
     ///
-    /// Panics on an unknown ticket or if `target` cannot fit the placement.
-    pub fn relocate(&mut self, ticket: PlacementTicket, target: NodeId) -> NodeId {
-        let (source, req) = self.release(ticket);
+    /// Panics if `target` cannot fit the placement.
+    pub fn relocate(&mut self, ticket: PlacementTicket, target: NodeId) -> Option<NodeId> {
+        let (source, req) = self.release(ticket)?;
         // Re-commit preserving the ticket id for caller bookkeeping.
         {
             let state = &self.nodes[target.index()];
@@ -278,7 +275,7 @@ impl ClusterView {
         state.ram_used += req.ram;
         state.cpu_used_hz += req.cpu_hz;
         self.placements.insert(ticket, (target, req));
-        source
+        Some(source)
     }
 
     /// Powers a node off.
@@ -355,10 +352,11 @@ mod tests {
         let t = view.commit(NodeId(5), small_req());
         assert_eq!(view.node(NodeId(5)).ram_used, Bytes::mib(30));
         assert_eq!(view.placement_count(), 1);
-        let (node, req) = view.release(t);
+        let (node, req) = view.release(t).unwrap();
         assert_eq!(node, NodeId(5));
         assert_eq!(req.ram, Bytes::mib(30));
         assert_eq!(view.node(NodeId(5)).ram_used, Bytes::ZERO);
+        assert_eq!(view.release(t), None, "a ticket releases once");
     }
 
     #[test]
@@ -373,7 +371,7 @@ mod tests {
         let mut view = ClusterView::picloud_default();
         let t = view.commit(NodeId(0), small_req());
         let source = view.relocate(t, NodeId(20));
-        assert_eq!(source, NodeId(0));
+        assert_eq!(source, Some(NodeId(0)));
         assert_eq!(view.node(NodeId(0)).ram_used, Bytes::ZERO);
         assert_eq!(view.node(NodeId(20)).ram_used, Bytes::mib(30));
         assert_eq!(view.placements_on(NodeId(20)), vec![t]);

@@ -12,7 +12,7 @@
 //! onto the most-loaded receiver that fits (never another donor); if every
 //! placement fits, emit the moves and mark the donor for power-off.
 
-use crate::cluster::{ClusterView, PlacementTicket};
+use crate::cluster::{ClusterView, PlacementRequest, PlacementTicket};
 use picloud_hardware::node::NodeId;
 use picloud_simcore::units::{Bytes, Power};
 use serde::{Deserialize, Serialize};
@@ -147,22 +147,18 @@ impl Consolidator {
             if received.contains(&donor) {
                 continue; // took on load earlier in the pass; now a keeper
             }
-            let tickets = view.placements_on(donor);
+            // The donor's tickets with their requests, in ticket order.
+            let tickets: Vec<(PlacementTicket, PlacementRequest)> = view
+                .placements()
+                .filter(|&(_, node, _)| node == donor)
+                .map(|(t, _, r)| (t, *r))
+                .collect();
             // Tentatively re-home every ticket on a scratch copy so a
             // partial failure rolls back cleanly.
-            let mut staged: Vec<(PlacementTicket, NodeId)> = Vec::with_capacity(tickets.len());
+            let mut staged = Vec::with_capacity(tickets.len());
             let mut scratch = view.clone();
             let mut ok = true;
-            for ticket in &tickets {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "P1 debt carried over from lint-baseline.json"
-                )]
-                let req = scratch
-                    .placements()
-                    .find(|(t, _, _)| t == ticket)
-                    .map(|(_, _, r)| *r)
-                    .expect("ticket exists");
+            for &(ticket, req) in &tickets {
                 // Receivers: powered on, not the donor, already non-empty,
                 // fits, and stays under the ceiling. Most-loaded first so
                 // the pack is tight.
@@ -189,8 +185,8 @@ impl Consolidator {
                 });
                 match target {
                     Some(t) => {
-                        scratch.relocate(*ticket, t);
-                        staged.push((*ticket, t));
+                        scratch.relocate(ticket, t);
+                        staged.push((ticket, req.ram, t));
                     }
                     None => {
                         ok = false;
@@ -202,16 +198,7 @@ impl Consolidator {
                 continue; // cannot fully drain this donor; leave it alone
             }
             // Commit the staged moves for real.
-            for (ticket, target) in staged {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "P1 debt carried over from lint-baseline.json"
-                )]
-                let (_, _, req) = view
-                    .placements()
-                    .find(|(t, _, _)| *t == ticket)
-                    .expect("ticket exists");
-                let ram = req.ram;
+            for (ticket, ram, target) in staged {
                 let from_rack = view.node(donor).rack;
                 let to_rack = view.node(target).rack;
                 view.relocate(ticket, target);
@@ -237,7 +224,6 @@ impl Consolidator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::PlacementRequest;
     use crate::scheduler::{place_all, WorstFit};
 
     fn spread_cluster(n_placements: usize) -> ClusterView {

@@ -49,7 +49,7 @@ impl fmt::Display for AddressingMode {
 }
 
 /// What one migration cost the control plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MigrationImpact {
     /// Rules removed or rewritten across the fabric.
     pub rules_touched: usize,

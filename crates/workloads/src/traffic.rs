@@ -189,7 +189,7 @@ impl fmt::Display for TrafficPattern {
 }
 
 /// A generated schedule of flow arrivals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficWorkload {
     events: Vec<(SimTime, FlowSpec)>,
 }

@@ -47,21 +47,22 @@
 //! registry's `estimate` report (exact oracle vs the Parsimon-style
 //! clustering estimator over the locality × oversubscription sweep);
 //! with `--fidelity exact|estimate` it runs the sweep at that single
-//! fidelity and emits a byte-deterministic JSONL report (CI `cmp`s it
-//! against `tests/golden`). See `EXPERIMENTS.md` §S2.
+//! fidelity and emits a byte-deterministic JSONL report (`tests/golden.rs`
+//! compares it with `tests/golden`). See `EXPERIMENTS.md` §S2.
 
 use picloud::experiments::{self, estimate_exp, fig4::Fig4};
 use picloud::telemetry::ExperimentTelemetry;
 use picloud_simcore::telemetry::slo::{AlertSeverity, Verdict};
 use picloud_simcore::telemetry::tsdb::QueryFn;
+use picloud_simcore::telemetry::TelemetrySink;
 use picloud_simcore::SimDuration;
 use std::process::ExitCode;
 
 /// Runs the `estimate` target. Without `--fidelity` it prints the
 /// registry's S2 report (both fidelities, relative errors, compression).
 /// With `--fidelity exact|estimate` it runs the sweep at that single
-/// fidelity and emits the per-scenario JSONL report — the artifact the
-/// CI determinism gate `cmp`s byte-for-byte against `tests/golden`.
+/// fidelity and emits the per-scenario JSONL report — the artifact
+/// `tests/golden.rs` compares byte-for-byte with `tests/golden`.
 fn run_estimate_cmd(
     seed: u64,
     fidelity: Option<&str>,
@@ -75,7 +76,7 @@ fn run_estimate_cmd(
                 eprintln!("the experiment registry has no 'estimate' entry");
                 return false;
             };
-            (s2.report)(seed)
+            (s2.run)(seed, &mut TelemetrySink::disabled())
         }
         Some(spec) => {
             let Some(mode) = FidelityMode::parse(spec) else {
@@ -480,7 +481,7 @@ fn main() -> ExitCode {
             "all" => {
                 for e in experiments::REGISTRY {
                     println!("########## {} ##########", e.id);
-                    println!("{}", (e.report)(seed));
+                    println!("{}", (e.run)(seed, &mut TelemetrySink::disabled()));
                     println!();
                 }
             }
@@ -517,7 +518,7 @@ fn main() -> ExitCode {
                 print!("{}", Fig4::run().panel.render_ascii());
             }
             name => match experiments::find(name) {
-                Some(e) => println!("{}", (e.report)(seed)),
+                Some(e) => println!("{}", (e.run)(seed, &mut TelemetrySink::disabled())),
                 None => {
                     eprintln!("unknown experiment '{name}'; try 'picloud list'");
                     return ExitCode::FAILURE;

@@ -10,6 +10,7 @@ use picloud_network::flowsim::RateAllocator;
 use picloud_network::routing::RoutingPolicy;
 use picloud_placement::migration::LiveMigrationModel;
 use picloud_placement::scheduler::PolicyKind;
+use picloud_simcore::telemetry::TelemetrySink;
 use picloud_simcore::units::Bytes;
 use picloud_simcore::{SimDuration, SimTime};
 use picloud_workloads::mapreduce::MapReduceJob;
@@ -147,7 +148,11 @@ fn precopy_traffic_matches_flow_level_bytes() {
 #[test]
 fn locality_sweep_is_monotone_enough() {
     // More cross-rack traffic must never *reduce* uplink utilisation.
-    let e = TrafficExperiment::run(11, SimDuration::from_secs(15));
+    let e = TrafficExperiment::run(
+        11,
+        SimDuration::from_secs(15),
+        &mut TelemetrySink::disabled(),
+    );
     let utils: Vec<f64> = e.points.iter().map(|p| p.mean_uplink_utilisation).collect();
     for w in utils.windows(2) {
         assert!(

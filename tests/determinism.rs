@@ -16,6 +16,7 @@ use picloud_hardware::node::NodeId;
 use picloud_network::flowsim::RateAllocator;
 use picloud_network::routing::RoutingPolicy;
 use picloud_network::topology::Topology;
+use picloud_simcore::telemetry::TelemetrySink;
 use picloud_simcore::{SeedFactory, SimDuration};
 use picloud_workloads::traffic::TrafficPattern;
 
@@ -62,8 +63,16 @@ fn placement_experiment_reproduces() {
 #[test]
 fn traffic_experiment_reproduces() {
     assert_eq!(
-        TrafficExperiment::run(42, SimDuration::from_secs(8)),
-        TrafficExperiment::run(42, SimDuration::from_secs(8))
+        TrafficExperiment::run(
+            42,
+            SimDuration::from_secs(8),
+            &mut TelemetrySink::disabled()
+        ),
+        TrafficExperiment::run(
+            42,
+            SimDuration::from_secs(8),
+            &mut TelemetrySink::disabled()
+        )
     );
 }
 

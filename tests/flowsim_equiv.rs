@@ -6,7 +6,7 @@
 //! them). The from-scratch solver is retained as
 //! [`RecomputeMode::Full`] — the oracle. This test drives both modes in
 //! lockstep through seeded random heavy-tailed workloads (bounded-Pareto
-//! sizes, mixed weights, batched bursts, cancels, partial advances) on
+//! sizes, batched bursts, cancels, partial advances) on
 //! the multi-root-tree and fat-tree fabrics, and requires **bit-for-bit**
 //! agreement at every recomputation point: allocated rates, completion
 //! records, per-link byte accounting and utilisation integrals.
@@ -37,12 +37,7 @@ fn random_spec(rng: &mut ChaCha12Rng, hosts: &[DeviceId]) -> FlowSpec {
     while dst == src {
         dst = hosts[rng.gen_range(0..hosts.len())];
     }
-    let weight = match rng.gen_range(0..4u32) {
-        0 => 0.25,
-        1 => 2.0,
-        _ => 1.0,
-    };
-    FlowSpec::new(src, dst, pareto_size(rng)).with_weight(weight)
+    FlowSpec::new(src, dst, pareto_size(rng))
 }
 
 /// Asserts every externally observable quantity matches bit-for-bit.

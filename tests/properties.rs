@@ -16,17 +16,11 @@ use picloud_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
-/// One flow as the max–min certificate sees it: the resources its path
-/// crosses (link `l` forward is `2l`, backward `2l + 1`, as in the
-/// simulator) and its weight.
-struct CertFlow {
-    resources: Vec<usize>,
-    weight: f64,
-}
-
-/// The path resources of flow `id` from `spec.src` to `spec.dst`, rebuilt
-/// by `router`, which must use the simulator's routing policy.
-fn cert_flow(topo: &Topology, router: &mut Router, spec: &FlowSpec, id: FlowId) -> CertFlow {
+/// The path resources of flow `id` from `spec.src` to `spec.dst` (link
+/// `l` forward is `2l`, backward `2l + 1`, as in the simulator) — the
+/// flow as the max–min certificate sees it — rebuilt by `router`, which
+/// must use the simulator's routing policy.
+fn cert_flow(topo: &Topology, router: &mut Router, spec: &FlowSpec, id: FlowId) -> Vec<usize> {
     let chosen = router
         .route(topo, spec.src, spec.dst, id)
         .expect("connected fabric");
@@ -38,10 +32,7 @@ fn cert_flow(topo: &Topology, router: &mut Router, spec: &FlowSpec, id: FlowId) 
         resources.push(lid.index() * 2 + usize::from(cur != link.a));
         cur = link.other_end(cur);
     }
-    CertFlow {
-        resources,
-        weight: spec.weight,
-    }
+    resources
 }
 
 /// Injects `batch` at `at` and records each new flow's certificate
@@ -49,7 +40,7 @@ fn cert_flow(topo: &Topology, router: &mut Router, spec: &FlowSpec, id: FlowId) 
 fn inject_certified(
     sim: &mut FlowSimulator,
     router: &mut Router,
-    flows: &mut Vec<CertFlow>,
+    flows: &mut Vec<Vec<usize>>,
     batch: &[FlowSpec],
     at: SimTime,
 ) {
@@ -62,16 +53,16 @@ fn inject_certified(
     }
 }
 
-/// Checks the weighted max–min certificate (Bertsekas & Gallager, *Data
+/// Checks the max–min certificate (Bertsekas & Gallager, *Data
 /// Networks*, §6.5) on the simulator's current rates: an allocation is
-/// weighted max–min fair iff it is feasible and every flow crosses a
-/// saturated resource on which its rate ÷ weight is the largest. The
+/// max–min fair iff it is feasible and every flow crosses a saturated
+/// resource on which its rate is the largest. The
 /// check reads only the rates, the capacities and the rebuilt paths; it
 /// shares nothing with the water-fill that computed them.
 fn certify_max_min(
     topo: &Topology,
     sim: &FlowSimulator,
-    flows: &[CertFlow],
+    flows: &[Vec<usize>],
 ) -> Result<(), TestCaseError> {
     const TOL: f64 = 1e-9;
     let capacity: Vec<f64> = topo
@@ -81,12 +72,11 @@ fn certify_max_min(
         .collect();
     let rates = sim.active_rates();
     let mut used = vec![0.0f64; capacity.len()];
-    let mut top_share = vec![0.0f64; capacity.len()];
+    let mut top_rate = vec![0.0f64; capacity.len()];
     for &(id, rate) in &rates {
-        let f = &flows[id.0 as usize];
-        for &r in &f.resources {
+        for &r in &flows[id.0 as usize] {
             used[r] += rate;
-            top_share[r] = top_share[r].max(rate / f.weight);
+            top_rate[r] = top_rate[r].max(rate);
         }
     }
     for (r, (&u, &c)) in used.iter().zip(&capacity).enumerate() {
@@ -96,16 +86,12 @@ fn certify_max_min(
         );
     }
     for &(id, rate) in &rates {
-        let f = &flows[id.0 as usize];
-        let share = rate / f.weight;
-        let bottlenecked = f
-            .resources
+        let bottlenecked = flows[id.0 as usize]
             .iter()
-            .any(|&r| used[r] >= capacity[r] * (1.0 - TOL) && share >= top_share[r] * (1.0 - TOL));
+            .any(|&r| used[r] >= capacity[r] * (1.0 - TOL) && rate >= top_rate[r] * (1.0 - TOL));
         prop_assert!(
             bottlenecked,
-            "{id:?} at {rate} bit/s, weight {}, has no saturated resource on which its share is the largest",
-            f.weight
+            "{id:?} at {rate} bit/s has no saturated resource on which its rate is the largest"
         );
     }
     Ok(())
@@ -227,18 +213,17 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Flow simulator: the rates are weighted max–min fair by the
-    // certificate, not by comparison with another run of the same
-    // solver — so a bug both recompute modes share (a fill that ignores
-    // weights, say) still fails here. Two batches on the paper fabric or
-    // a k = 4 fat-tree, weights 0.25–3, checked after each batch and at
+    // Flow simulator: the rates are max–min fair by the certificate,
+    // not by comparison with another run of the same solver — so a bug
+    // both recompute modes share still fails here. Two batches on the
+    // paper fabric or a k = 4 fat-tree, checked after each batch and at
     // random instants, on one worker and on two.
     // ------------------------------------------------------------------
     #[test]
     fn flowsim_rates_pass_the_max_min_certificate(
         fat in prop::bool::ANY,
         flows in prop::collection::vec(
-            (0usize..64, 0usize..64, 1u64..2048, 0.25..3.0f64),
+            (0usize..64, 0usize..64, 1u64..2048),
             2..128,
         ),
         second_at_ms in 0u64..200,
@@ -252,9 +237,8 @@ proptest! {
         let hosts: Vec<_> = topo.hosts().map(|h| h.id).collect();
         let specs: Vec<FlowSpec> = flows
             .iter()
-            .map(|&(src, dst, kib, weight)| {
+            .map(|&(src, dst, kib)| {
                 FlowSpec::new(hosts[src % hosts.len()], hosts[dst % hosts.len()], Bytes::kib(kib))
-                    .with_weight(weight)
             })
             .collect();
         let (first, second) = specs.split_at(specs.len() / 2);

@@ -9,6 +9,7 @@
 use picloud::experiments::recovery_exp::RecoveryExperiment;
 use picloud::experiments::{self, REGISTRY};
 use picloud::telemetry::ExperimentTelemetry;
+use picloud_simcore::telemetry::tsdb::ScrapeConfig;
 use picloud_simcore::telemetry::TelemetrySink;
 use picloud_simcore::{SimDuration, SimTime};
 
@@ -106,6 +107,38 @@ fn registry_names_resolve_uniquely_and_case_insensitively() {
     assert_eq!(id_of(""), None);
     assert_eq!(id_of("nonsense"), None);
     assert!(ExperimentTelemetry::collect("nonsense", 1).is_none());
+}
+
+#[test]
+fn observation_does_not_perturb_any_report() {
+    // `all` prints each entry as a header line, the report and a blank
+    // line; each run, observed or not, must render its section.
+    let golden = include_str!("golden/all-seed2013.txt");
+    for e in REGISTRY {
+        let header = format!("########## {} ##########\n", e.id);
+        let start = golden.find(&header).expect(e.id) + header.len();
+        let end = golden[start..]
+            .find("########## ")
+            .map_or(golden.len(), |n| start + n);
+        let section = &golden[start..end];
+        let mut disabled = TelemetrySink::disabled();
+        let plain = (e.run)(2013, &mut disabled);
+        assert_eq!(format!("{plain}\n\n"), section, "{} unobserved", e.id);
+        assert!(
+            disabled.registry.is_empty() && disabled.tracer.is_empty() && disabled.tsdb().is_none(),
+            "{}: a disabled sink records nothing",
+            e.id
+        );
+        let mut recording =
+            TelemetrySink::recording_with_tsdb(SimTime::ZERO, ScrapeConfig::every(e.scrape_every));
+        let observed = (e.run)(2013, &mut recording);
+        assert_eq!(format!("{observed}\n\n"), section, "{} observed", e.id);
+        assert!(
+            !recording.registry.is_empty(),
+            "{} recorded no series",
+            e.id
+        );
+    }
 }
 
 #[test]
