@@ -6,10 +6,11 @@
 //! [`picloud_faults::chaos`]; this module supplies the *runner* — the
 //! thing that takes a [`ChaosSchedule`], executes the recovery control
 //! loop under it with the safety registry armed, and turns the first
-//! violation into a minimal reproducing schedule. Two auxiliary checks
+//! violation into a minimal reproducing schedule. Three auxiliary checks
 //! ride along each batch, covering subsystems the recovery world does
-//! not exercise: gossip tombstones must never resurrect, and the flow
-//! fabric must conserve bytes.
+//! not exercise: gossip tombstones must never resurrect, the flow fabric
+//! must conserve bytes, and its rates must pass the max–min certificate
+//! ([`certify_max_min`]) through a churn of bursts and cancels.
 //!
 //! The loop is the FoundationDB recipe on the paper's scale model:
 //!
@@ -31,10 +32,11 @@ use picloud_faults::{
     shrink, ChaosProfile, ChaosSchedule, DomainTree, FaultTimeline, InvariantViolation,
 };
 use picloud_mgmt::gossip::GossipNetwork;
+use picloud_network::flow::{FlowId, FlowSpec};
 use picloud_network::flowsim::{FlowSimulator, RateAllocator};
 use picloud_network::graph::shortest_path_avoiding;
-use picloud_network::routing::RoutingPolicy;
-use picloud_network::topology::LinkId;
+use picloud_network::routing::{Router, RoutingPolicy};
+use picloud_network::topology::{DeviceId, LinkId, Topology};
 use picloud_simcore::units::Bytes;
 use picloud_simcore::{SeedFactory, SimDuration, SimTime};
 use rand::Rng;
@@ -104,8 +106,9 @@ pub fn run_chaos_schedule(
 }
 
 /// Draws and runs `count` schedules (seeds `base_seed..base_seed+count`)
-/// over the cluster's domain tree, interleaving the gossip-tombstone and
-/// flow-conservation checks so each batch covers all three planes.
+/// over the cluster's domain tree, interleaving the gossip-tombstone,
+/// flow-conservation and max–min certificate checks so each batch covers
+/// all three planes.
 pub fn run_chaos(
     config: &RecoveryConfig,
     profile: &ChaosProfile,
@@ -124,6 +127,9 @@ pub fn run_chaos(
             }
             if outcome.violation.is_none() {
                 outcome.violation = flow_conservation_check(seed);
+            }
+            if outcome.violation.is_none() {
+                outcome.violation = max_min_certificate_check(seed);
             }
             outcome
         })
@@ -293,7 +299,7 @@ pub fn flow_conservation_check(seed: u64) -> Option<InvariantViolation> {
         };
         let size = Bytes::mib(rng.gen_range(1..8));
         let at = SimTime::ZERO + SimDuration::from_millis(i as u64 * 50);
-        let spec = picloud_network::flow::FlowSpec::new(src, dst, size);
+        let spec = FlowSpec::new(src, dst, size);
         let Ok(id) = sim.inject(spec, at) else {
             continue;
         };
@@ -338,6 +344,142 @@ pub fn flow_conservation_check(seed: u64) -> Option<InvariantViolation> {
     None
 }
 
+/// Checks the max–min certificate (Bertsekas & Gallager, *Data
+/// Networks*, §6.5) on one rate allocation over `topo`: an allocation is
+/// max–min fair iff it is feasible and every flow crosses a saturated
+/// resource on which its rate is the largest. `rates` holds each active
+/// flow's id and rate, as [`FlowSimulator::active_rates`] reports them,
+/// and `paths[id]` flow `id`'s source and links; each direction of a
+/// link is its own resource. The check reads only rates, capacities and
+/// paths, so it shares nothing with the water-fill that computed them.
+///
+/// # Errors
+///
+/// Names the first flow without a path, the first resource carrying
+/// more than its capacity, or the first flow without such a bottleneck.
+pub fn certify_max_min(
+    topo: &Topology,
+    rates: &[(FlowId, f64)],
+    paths: &[(DeviceId, Vec<LinkId>)],
+) -> Result<(), String> {
+    const TOL: f64 = 1e-9;
+    let capacity: Vec<f64> = topo
+        .links()
+        .iter()
+        .flat_map(|l| [l.capacity.as_bps() as f64; 2])
+        .collect();
+    // Link `l` forward (from its `a` end) is resource `2l`, backward `2l + 1`.
+    let flows = rates
+        .iter()
+        .map(|&(id, rate)| {
+            let (src, links) = paths
+                .get(id.0 as usize)
+                .ok_or_else(|| format!("{id:?} has no recorded path"))?;
+            let mut cur = *src;
+            let resources: Vec<usize> = links
+                .iter()
+                .map(|&lid| {
+                    let link = topo.link(lid);
+                    let r = lid.index() * 2 + usize::from(cur != link.a);
+                    cur = link.other_end(cur);
+                    r
+                })
+                .collect();
+            Ok((id, rate, resources))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut used = vec![0.0f64; capacity.len()];
+    let mut top_rate = vec![0.0f64; capacity.len()];
+    for (_, rate, resources) in &flows {
+        for &r in resources {
+            used[r] += rate;
+            top_rate[r] = top_rate[r].max(*rate);
+        }
+    }
+    for (r, (&u, &c)) in used.iter().zip(&capacity).enumerate() {
+        if u > c * (1.0 + TOL) {
+            return Err(format!("resource {r} carries {u} bit/s of {c}"));
+        }
+    }
+    for (id, rate, resources) in &flows {
+        let bottlenecked = resources
+            .iter()
+            .any(|&r| used[r] >= capacity[r] * (1.0 - TOL) && *rate >= top_rate[r] * (1.0 - TOL));
+        if !bottlenecked {
+            return Err(format!(
+                "{id:?} at {rate} bit/s has no saturated resource on which its rate is the largest"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Max–min certificate invariant: a seeded churn over the paper fabric
+/// — 40 rounds 20 ms apart, each a burst of one to four flows, every
+/// third also cancelling a random active flow — checked with
+/// [`certify_max_min`] after every advance, burst and cancel. The paths
+/// it certifies come from a separate [`Router`] with the simulator's
+/// policy, so the check shares nothing with the solver's region walk or
+/// water-fill.
+fn max_min_certificate_check(seed: u64) -> Option<InvariantViolation> {
+    const ROUNDS: u64 = 40;
+    let cloud = PiCloud::builder().seed(0).build();
+    let topo = cloud.topology().clone();
+    let hosts: Vec<_> = topo.hosts().map(|d| d.id).collect();
+    let policy = RoutingPolicy::default();
+    let mut sim = FlowSimulator::new(topo.clone(), policy, RateAllocator::MaxMin);
+    let mut router = Router::new(policy);
+    let mut paths: Vec<(DeviceId, Vec<LinkId>)> = Vec::new();
+    let mut rng = SeedFactory::new(seed).stream("chaos-max-min");
+    let certify = |sim: &FlowSimulator, paths: &[(DeviceId, Vec<LinkId>)], after: &str| {
+        certify_max_min(&topo, &sim.active_rates(), paths)
+            .err()
+            .map(|detail| InvariantViolation {
+                invariant: "max-min-certificate".to_owned(),
+                at: sim.now(),
+                detail: format!("after {after}: {detail}"),
+            })
+    };
+    for round in 0..ROUNDS {
+        let at = SimTime::ZERO + SimDuration::from_millis(round * 20);
+        sim.advance_to(at);
+        if let Some(v) = certify(&sim, &paths, "an advance") {
+            return Some(v);
+        }
+        let burst: Vec<FlowSpec> = (0..rng.gen_range(1..=4))
+            .map(|_| {
+                let src = hosts[rng.gen_range(0..hosts.len())];
+                let dst = hosts[rng.gen_range(0..hosts.len())];
+                FlowSpec::new(src, dst, Bytes::kib(rng.gen_range(64..4096)))
+            })
+            .collect();
+        let Ok(ids) = sim.inject_batch(burst.clone(), at) else {
+            continue;
+        };
+        // Ids are issued in order from zero, so `paths[id]` is flow `id`.
+        for (spec, id) in burst.iter().zip(ids) {
+            let links = router
+                .route(&topo, spec.src, spec.dst, id)
+                .map_or_else(Vec::new, |p| router.path(p).to_vec());
+            paths.push((spec.src, links));
+        }
+        if let Some(v) = certify(&sim, &paths, "a burst") {
+            return Some(v);
+        }
+        if round % 3 != 2 {
+            continue;
+        }
+        let live = sim.active_rates();
+        if !live.is_empty() {
+            sim.cancel(live[rng.gen_range(0..live.len())].0);
+            if let Some(v) = certify(&sim, &paths, "a cancel") {
+                return Some(v);
+            }
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,6 +508,41 @@ mod tests {
         for seed in 0..4 {
             assert_eq!(gossip_tombstone_check(seed), None);
             assert_eq!(flow_conservation_check(seed), None);
+            assert_eq!(max_min_certificate_check(seed), None);
         }
+    }
+
+    #[test]
+    fn the_certificate_rejects_an_unfair_allocation() {
+        // Two flows out of one host split its access link evenly; a rate
+        // below its fair share leaves that flow without a saturated
+        // bottleneck, and one above it overfills the link.
+        let cloud = PiCloud::builder().seed(0).build();
+        let topo = cloud.topology().clone();
+        let hosts: Vec<_> = topo.hosts().map(|d| d.id).collect();
+        let policy = RoutingPolicy::default();
+        let mut sim = FlowSimulator::new(topo.clone(), policy, RateAllocator::MaxMin);
+        let mut router = Router::new(policy);
+        let specs = vec![
+            FlowSpec::new(hosts[0], hosts[1], Bytes::mib(1)),
+            FlowSpec::new(hosts[0], hosts[30], Bytes::mib(1)),
+        ];
+        let ids = sim.inject_batch(specs.clone(), SimTime::ZERO).unwrap();
+        let paths: Vec<_> = specs
+            .iter()
+            .zip(ids)
+            .map(|(spec, id)| {
+                let p = router.route(&topo, spec.src, spec.dst, id).unwrap();
+                (spec.src, router.path(p).to_vec())
+            })
+            .collect();
+        let rates = sim.active_rates();
+        assert_eq!(certify_max_min(&topo, &rates, &paths), Ok(()));
+        for factor in [0.5, 1.5] {
+            let mut skewed = rates.clone();
+            skewed[1].1 *= factor;
+            assert!(certify_max_min(&topo, &skewed, &paths).is_err(), "{factor}");
+        }
+        assert!(certify_max_min(&topo, &rates, &paths[..1]).is_err());
     }
 }

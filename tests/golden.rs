@@ -6,7 +6,9 @@
 //! These are the commands whose output a change must leave alone unless
 //! it regenerates the files on purpose (the verify recipe lists them).
 //! E17's span and critical-path exports are too large to commit (0.1 to
-//! 1.6 MB each), so each is pinned by its byte length and FNV-1a-64.
+//! 1.6 MB each), so each is pinned by its byte length and FNV-1a-64, as
+//! is the traffic metrics snapshot: the one export carrying the flow
+//! solver's per-link gauges and `network_partition_solves_total`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -144,6 +146,19 @@ fn traffic_query_exports_match_their_goldens() {
         "jsonl",
         "query --experiment traffic --metric network_active_flows --fn max_over_time \
          --window 5 --format jsonl --out",
+    );
+}
+
+#[test]
+fn traffic_metrics_snapshots_match_their_pins() {
+    assert_pinned(
+        "telemetry-traffic",
+        "jsonl",
+        "telemetry --experiment traffic",
+        [
+            (2013, 56_246, 0xc1d0_633e_3757_f580),
+            (7, 56_225, 0xc773_51c5_6866_08ad),
+        ],
     );
 }
 

@@ -3,11 +3,12 @@
 //! Unit tests pin specific behaviours; these pin the *laws* the scale
 //! model relies on, across randomly generated inputs.
 
+use picloud::chaos::certify_max_min;
 use picloud_hardware::cpu::{share_capacity, CpuClaim};
-use picloud_network::flow::{FlowId, FlowSpec};
+use picloud_network::flow::FlowSpec;
 use picloud_network::flowsim::{FlowSimulator, RateAllocator};
 use picloud_network::routing::{Router, RoutingPolicy};
-use picloud_network::topology::Topology;
+use picloud_network::topology::{DeviceId, LinkId, Topology};
 use picloud_placement::migration::LiveMigrationModel;
 use picloud_simcore::engine::Engine;
 use picloud_simcore::metrics::Histogram;
@@ -16,31 +17,13 @@ use picloud_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
-/// The path resources of flow `id` from `spec.src` to `spec.dst` (link
-/// `l` forward is `2l`, backward `2l + 1`, as in the simulator) — the
-/// flow as the max–min certificate sees it — rebuilt by `router`, which
-/// must use the simulator's routing policy.
-fn cert_flow(topo: &Topology, router: &mut Router, spec: &FlowSpec, id: FlowId) -> Vec<usize> {
-    let chosen = router
-        .route(topo, spec.src, spec.dst, id)
-        .expect("connected fabric");
-    let path = router.path(chosen);
-    let mut cur = spec.src;
-    let mut resources = Vec::with_capacity(path.len());
-    for &lid in path {
-        let link = topo.link(lid);
-        resources.push(lid.index() * 2 + usize::from(cur != link.a));
-        cur = link.other_end(cur);
-    }
-    resources
-}
-
-/// Injects `batch` at `at` and records each new flow's certificate
-/// entry; ids are issued in order, so `flows[id]` is flow `id`.
+/// Injects `batch` at `at` and records each new flow's source and links,
+/// rebuilt by `router` (which must use the simulator's routing policy);
+/// ids are issued in order, so `paths[id]` is flow `id`.
 fn inject_certified(
     sim: &mut FlowSimulator,
     router: &mut Router,
-    flows: &mut Vec<Vec<usize>>,
+    paths: &mut Vec<(DeviceId, Vec<LinkId>)>,
     batch: &[FlowSpec],
     at: SimTime,
 ) {
@@ -48,53 +31,22 @@ fn inject_certified(
         .inject_batch(batch.to_vec(), at)
         .expect("connected fabric");
     for (spec, id) in batch.iter().zip(ids) {
-        assert_eq!(id.0 as usize, flows.len(), "ids are issued in order");
-        flows.push(cert_flow(sim.topology(), router, spec, id));
+        assert_eq!(id.0 as usize, paths.len(), "ids are issued in order");
+        let chosen = router
+            .route(sim.topology(), spec.src, spec.dst, id)
+            .expect("connected fabric");
+        paths.push((spec.src, router.path(chosen).to_vec()));
     }
 }
 
-/// Checks the max–min certificate (Bertsekas & Gallager, *Data
-/// Networks*, §6.5) on the simulator's current rates: an allocation is
-/// max–min fair iff it is feasible and every flow crosses a saturated
-/// resource on which its rate is the largest. The
-/// check reads only the rates, the capacities and the rebuilt paths; it
-/// shares nothing with the water-fill that computed them.
-fn certify_max_min(
+/// [`certify_max_min`] on the simulator's current rates, as a proptest
+/// failure.
+fn certify(
     topo: &Topology,
     sim: &FlowSimulator,
-    flows: &[Vec<usize>],
+    paths: &[(DeviceId, Vec<LinkId>)],
 ) -> Result<(), TestCaseError> {
-    const TOL: f64 = 1e-9;
-    let capacity: Vec<f64> = topo
-        .links()
-        .iter()
-        .flat_map(|l| [l.capacity.as_bps() as f64; 2])
-        .collect();
-    let rates = sim.active_rates();
-    let mut used = vec![0.0f64; capacity.len()];
-    let mut top_rate = vec![0.0f64; capacity.len()];
-    for &(id, rate) in &rates {
-        for &r in &flows[id.0 as usize] {
-            used[r] += rate;
-            top_rate[r] = top_rate[r].max(rate);
-        }
-    }
-    for (r, (&u, &c)) in used.iter().zip(&capacity).enumerate() {
-        prop_assert!(
-            u <= c * (1.0 + TOL),
-            "resource {r} carries {u} bit/s of {c}"
-        );
-    }
-    for &(id, rate) in &rates {
-        let bottlenecked = flows[id.0 as usize]
-            .iter()
-            .any(|&r| used[r] >= capacity[r] * (1.0 - TOL) && rate >= top_rate[r] * (1.0 - TOL));
-        prop_assert!(
-            bottlenecked,
-            "{id:?} at {rate} bit/s has no saturated resource on which its rate is the largest"
-        );
-    }
-    Ok(())
+    certify_max_min(topo, &sim.active_rates(), paths).map_err(TestCaseError::fail)
 }
 
 proptest! {
@@ -255,16 +207,16 @@ proptest! {
             let mut router = Router::new(policy);
             let mut cert = Vec::with_capacity(specs.len());
             inject_certified(&mut sim, &mut router, &mut cert, first, SimTime::ZERO);
-            certify_max_min(&topo, &sim, &cert)?;
+            certify(&topo, &sim, &cert)?;
             let mut pending = Some(second);
             for &at in &checks {
                 if let Some(batch) = pending.filter(|_| second_at <= at) {
                     inject_certified(&mut sim, &mut router, &mut cert, batch, second_at);
                     pending = None;
-                    certify_max_min(&topo, &sim, &cert)?;
+                    certify(&topo, &sim, &cert)?;
                 }
                 sim.advance_to(at);
-                certify_max_min(&topo, &sim, &cert)?;
+                certify(&topo, &sim, &cert)?;
             }
         }
     }
